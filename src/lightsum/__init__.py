@@ -33,7 +33,6 @@ from .errors import (
 )
 from .model import (
     DeviceLayout,
-    EpsilonLayout,
     Instance,
     PhysicalParams,
     RawInstance,
@@ -62,7 +61,6 @@ from .sim import (
     epsilon_false_positive_demo,
     perturb_and_classify,
     propagate,
-    propagate_epsilon,
     write_profile,
 )
 

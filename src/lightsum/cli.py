@@ -3,7 +3,8 @@
 One command per run, one JSON report on stdout; human-readable tables go to
 stderr under --verbose. Exit codes: 0 YES (or plain success for commands
 without a verdict), 1 NO, 2 simulator/oracle disagreement, 3 bad input,
-4 resource limit exceeded.
+4 resource limit exceeded, 5 internal error (an unexpected exception, with
+its traceback on stderr; never read as a verdict).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import replace
 
 from .analysis import feasibility_report, slow_light_rescale
@@ -39,16 +41,15 @@ from .sim import (
     epsilon_false_positive_demo,
     perturb_and_classify,
     propagate,
-    propagate_epsilon,
     write_profile,
 )
 
-EXIT_YES = 0
 EXIT_OK = 0
 EXIT_NO = 1
 EXIT_DISAGREEMENT = 2
 EXIT_INPUT_ERROR = 3
 EXIT_RESOURCE_ERROR = 4
+EXIT_INTERNAL_ERROR = 5
 
 ORACLES = {
     "dp": solve_dp,
@@ -192,7 +193,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not agreement:
         sys.stderr.write("simulator and oracle disagree; this is a bug\n")
         return EXIT_DISAGREEMENT
-    return EXIT_YES if detection.verdict is Verdict.YES else EXIT_NO
+    return EXIT_OK if detection.verdict is Verdict.YES else EXIT_NO
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -242,7 +243,7 @@ def cmd_demo_epsilon(args: argparse.Namespace) -> int:
         raise InvalidValue("--epsilon must be >= 1")
     demo = epsilon_false_positive_demo(instance, args.epsilon, params)
     if args.dump_profile:
-        profile = propagate_epsilon(compile_epsilon_layout(instance, args.epsilon))
+        profile = propagate(compile_epsilon_layout(instance, args.epsilon))
         with open(args.dump_profile, "w", encoding="utf-8") as fh:
             write_profile(profile, fh)
     _emit(demo.to_json_dict())
@@ -277,6 +278,10 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimit as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE_ERROR
+    except Exception:
+        # A bug, not a verdict: exit 1 would read as NO.
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

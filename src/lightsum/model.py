@@ -159,6 +159,15 @@ def normalize(raw: RawInstance, *, ceiling: int = DEFAULT_VALUE_CEILING) -> Inst
     target_dec = parse_decimal(raw.target)
     exponents = [e for e in map(_least_digit_exponent, decimals + [target_dec]) if e is not None]
     scale_exp = -min(exponents) if exponents else 0
+    # A number normalizes to at least 10^(adjusted + scale_exp), which is over
+    # the ceiling once that exponent reaches ceiling.bit_length(); reject it
+    # before any such power of ten is built.
+    for d in decimals + [target_dec]:
+        if d and d.adjusted() + scale_exp >= ceiling.bit_length():
+            raise Overflow(
+                f"{d} normalizes to at least 10^{d.adjusted() + scale_exp}, "
+                f"over the ceiling of {ceiling}"
+            )
     scale = Fraction(10) ** scale_exp
 
     def to_quanta(d: Decimal) -> int:
@@ -239,48 +248,21 @@ class Stage:
 
 @dataclass(frozen=True)
 class DeviceLayout:
-    """The offset device: stage i has skip delay k and take delay a_i + k.
+    """A chain of stages, each a skip arc and a take arc in delay quanta.
 
-    Every start-to-destination path crosses exactly one arc per stage, so all
-    paths accumulate the constant n*k on top of their subset sum.
+    The offset device has skip delay k and take delay a_i + k, so every
+    start-to-destination path accumulates the constant n*k on top of its
+    subset sum. The epsilon device has skip delay epsilon and take delay a_i.
     """
 
     stages: tuple[Stage, ...]
-    offset_k: int
 
     def __post_init__(self) -> None:
-        if self.offset_k < 1:
-            raise InvalidValue("offset_k must be >= 1")
         for s in self.stages:
             if s.value < 1:
                 raise InvalidValue(f"stage value must be >= 1, got {s.value}")
-            if s.skip_delay != self.offset_k or s.take_delay != s.value + self.offset_k:
-                raise InvalidValue(f"stage {s} does not follow the skip=k / take=a+k rule")
-
-    @property
-    def node_count(self) -> int:
-        return len(self.stages) + 1
-
-
-@dataclass(frozen=True)
-class EpsilonLayout:
-    """The flawed variant: skip arcs of tiny length epsilon, take arcs of a_i.
-
-    Kept for demonstration; a target reachable as subset_sum + m*epsilon
-    triggers a spurious detection that the offset device avoids.
-    """
-
-    stages: tuple[Stage, ...]
-    epsilon: int
-
-    def __post_init__(self) -> None:
-        if self.epsilon < 1:
-            raise InvalidValue("epsilon must be >= 1")
-        for s in self.stages:
-            if s.value < 1:
-                raise InvalidValue(f"stage value must be >= 1, got {s.value}")
-            if s.skip_delay != self.epsilon or s.take_delay != s.value:
-                raise InvalidValue(f"stage {s} does not follow the skip=eps / take=a rule")
+            if s.skip_delay < 1 or s.take_delay < 1:
+                raise InvalidValue(f"stage {s} has an arc shorter than one quantum")
 
     @property
     def node_count(self) -> int:
@@ -295,24 +277,24 @@ def compile_layout(instance: Instance, params: PhysicalParams) -> DeviceLayout:
     """
     k = params.offset_k_quanta
     return DeviceLayout(
-        stages=tuple(Stage(value=a, skip_delay=k, take_delay=a + k) for a in instance.values),
-        offset_k=k,
+        stages=tuple(Stage(value=a, skip_delay=k, take_delay=a + k) for a in instance.values)
     )
 
 
-def compile_epsilon_layout(instance: Instance, epsilon: int) -> EpsilonLayout:
-    """Build the epsilon device (skip arcs of length epsilon, take arcs of a_i)."""
+def compile_epsilon_layout(instance: Instance, epsilon: int) -> DeviceLayout:
+    """Build the flawed epsilon device: skip arcs of epsilon, take arcs of a_i.
+
+    Kept for demonstration; a target reachable as subset_sum + m*epsilon
+    triggers a spurious detection that the offset device avoids.
+    """
     if epsilon < 1:
         raise InvalidValue("epsilon must be >= 1")
-    return EpsilonLayout(
-        stages=tuple(Stage(value=a, skip_delay=epsilon, take_delay=a) for a in instance.values),
-        epsilon=epsilon,
+    return DeviceLayout(
+        stages=tuple(Stage(value=a, skip_delay=epsilon, take_delay=a) for a in instance.values)
     )
 
 
-def cable_lengths(
-    layout: DeviceLayout | EpsilonLayout, params: PhysicalParams
-) -> list[Fraction]:
+def cable_lengths(layout: DeviceLayout, params: PhysicalParams) -> list[Fraction]:
     """Physical arc lengths in meters, stage by stage, skip arc then take arc.
 
     Each length is an exact positive integer multiple of quantum_length_m;

@@ -19,7 +19,7 @@ def to_fraction(x: RationalLike) -> Fraction:
     """Convert to Fraction, reading floats through their shortest decimal repr.
 
     A literal like 1e-12 therefore means exactly 10**-12, not the nearest
-    binary double.
+    binary double. Infinities and NaNs raise ParseError.
     """
     if isinstance(x, bool):
         raise ParseError("booleans are not numbers")
@@ -30,9 +30,12 @@ def to_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, float):
         x = str(x)
     try:
-        return Fraction(Decimal(x))
-    except (InvalidOperation, ValueError) as exc:
+        d = Decimal(x)
+    except (InvalidOperation, ValueError, TypeError) as exc:
         raise ParseError(f"not a finite decimal number: {x!r}") from exc
+    if not d.is_finite():
+        raise ParseError(f"not a finite decimal number: {x!r}")
+    return Fraction(d)
 
 
 def fraction_str(f: Fraction) -> str:

@@ -1,22 +1,24 @@
 """Exact simulation of ray propagation through a delay-line device.
 
 A profile maps arrival time (integer quanta) to the number of rays arriving
-at that moment. Propagation through one stage shifts the whole profile by the
-skip delay and by the take delay and merges the two copies, adding counts on
-collision; after n stages the histogram at the destination is exactly the
-multiset of subset sums shifted by the accumulated offset.
+at that moment. Every stage is a skip arc and a take arc: light crossing it
+makes one copy of the arrival histogram shifted by each arc's delay and adds
+the two, so after n stages the histogram at the destination is exactly the
+multiset of subset sums shifted by the accumulated skip delays. The offset
+device and the epsilon device differ only in those two delays.
 
-Two representations back the same arithmetic. Dense profiles are packed into
-one big integer, one byte-aligned fixed-width field per time slot, so a stage
-is two shifts and an addition (fields never overflow: counts are bounded by
-2^n and field width exceeds n bits). Sparse or very long profiles fall back
-to an explicit time -> count map. Both are exact at any count size.
+Propagation runs on one dense count array of horizon + 1 slots while that
+fits MAX_DENSE_SLOTS; each stage writes the two shifted copies, summed, into
+a second buffer.
+Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
+(object dtype) take over above. Longer horizons, such as values of 10^9,
+fall back to an explicit time -> count map capped at MAX_PROFILE_ENTRIES
+distinct arrival times. Both return the profile as numpy arrays.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +30,6 @@ from .analysis import per_ray_power
 from .errors import InvalidPerturbation, InvalidValue, ResourceLimit, StageMismatch
 from .model import (
     DeviceLayout,
-    EpsilonLayout,
     Instance,
     PhysicalParams,
     Verdict,
@@ -38,9 +39,10 @@ from .model import (
 from .oracles import solve_auto
 from .rational import RationalLike, fraction_str, to_fraction
 
-# A dense packed profile may use this many bits before the sparse map takes
-# over; the map in turn is capped at this many distinct arrival times.
-MAX_PACKED_BITS = 1 << 26
+# A dense profile holds this many time slots at most (32 MiB as uint64)
+# before the map takes over; the map in turn is capped at this many distinct
+# arrival times.
+MAX_DENSE_SLOTS = 1 << 22
 MAX_PROFILE_ENTRIES = 1 << 21
 
 # Perturbed cable lengths live on a grid of quantum_length / PERTURB_GRID so
@@ -52,11 +54,15 @@ MAX_PERTURB_PATHS = 1 << 22
 
 @dataclass(frozen=True, eq=False)
 class ArrivalProfile:
-    """Arrival moments at a node: sorted times (quanta) with positive ray counts."""
+    """Arrival moments at a node: sorted times (quanta) with positive ray counts.
+
+    Both arrays are int64/uint64 where the values fit and object (Python
+    ints) where they may not.
+    """
 
     stage_index: int
-    times: tuple[int, ...] | np.ndarray
-    counts: tuple[int, ...] | np.ndarray
+    times: np.ndarray
+    counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
@@ -65,21 +71,14 @@ class ArrivalProfile:
         """Rays arriving exactly at `time`; 0 when the moment is silent."""
         if not len(self.times) or time < self.min_time or time > self.max_time:
             return 0
-        if isinstance(self.times, np.ndarray):
-            i = int(np.searchsorted(self.times, time))
-            if i < self.times.size and int(self.times[i]) == time:
-                return int(self.counts[i])
-            return 0
-        i = bisect_left(self.times, time)
-        if i < len(self.times) and self.times[i] == time:
-            return self.counts[i]
+        i = int(np.searchsorted(self.times, time))
+        if int(self.times[i]) == time:
+            return int(self.counts[i])
         return 0
 
     def items(self) -> list[tuple[int, int]]:
         """(time, count) pairs in ascending time, as plain ints."""
-        if isinstance(self.times, np.ndarray):
-            return list(zip(self.times.tolist(), self.counts.tolist()))
-        return list(zip(self.times, self.counts))
+        return list(zip(self.times.tolist(), self.counts.tolist()))
 
     @cached_property
     def entries(self) -> dict[int, int]:
@@ -87,7 +86,7 @@ class ArrivalProfile:
         return dict(self.items())
 
     def total_rays(self) -> int:
-        return sum(c for _, c in self.items())
+        return sum(self.counts.tolist())
 
     @property
     def min_time(self) -> int:
@@ -103,38 +102,33 @@ class ArrivalProfile:
         return self.stage_index == other.stage_index and self.items() == other.items()
 
 
-def _propagate_packed(pairs: Sequence[tuple[int, int]], t_max: int) -> ArrivalProfile:
-    n = len(pairs)
-    width = (n + 1 + 7) // 8  # bytes per time slot; counts need at most n+1 bits
-    shift = 8 * width
-    packed = 1
-    for skip, take in pairs:
-        packed = (packed << (shift * skip)) + (packed << (shift * take))
-    raw = packed.to_bytes((t_max + 1) * width, "little")
-
-    if width <= 8:
-        cols = np.frombuffer(raw, dtype=np.uint8).reshape(t_max + 1, width)
-        counts = np.zeros(t_max + 1, dtype=np.uint64)
-        for i in range(width):
-            counts |= cols[:, i].astype(np.uint64) << np.uint64(8 * i)
-        nz = np.flatnonzero(counts)
-        return ArrivalProfile(stage_index=n, times=nz, counts=counts[nz])
-
-    times = []
-    counts_list = []
-    for t in range(t_max + 1):
-        c = int.from_bytes(raw[t * width : (t + 1) * width], "little")
-        if c:
-            times.append(t)
-            counts_list.append(c)
-    return ArrivalProfile(stage_index=n, times=tuple(times), counts=tuple(counts_list))
+def _count_dtype(n: int) -> type:
+    # n stages give at most 2^n rays in one slot.
+    return np.uint64 if n <= 63 else object
 
 
-def _propagate_sparse(
-    pairs: Sequence[tuple[int, int]], max_entries: int
-) -> ArrivalProfile:
+def _propagate_dense(arcs: Sequence[tuple[int, int]], horizon: int) -> ArrivalProfile:
+    dtype = _count_dtype(len(arcs))
+    cur = np.zeros(horizon + 1, dtype=dtype)
+    nxt = np.zeros_like(cur)
+    cur[0] = 1
+    last = 0  # latest occupied slot of cur
+    for skip, take in arcs:
+        lo, hi = sorted((skip, take))
+        # nxt = cur shifted by lo, plus cur shifted by hi: a copy and one add
+        nxt[:lo] = 0
+        nxt[lo : lo + last + 1] = cur[: last + 1]
+        nxt[lo + last + 1 : hi + last + 1] = 0
+        nxt[hi : hi + last + 1] += cur[: last + 1]
+        cur, nxt = nxt, cur
+        last += hi
+    times = np.flatnonzero(cur)
+    return ArrivalProfile(stage_index=len(arcs), times=times, counts=cur[times])
+
+
+def _propagate_sparse(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
     entries = {0: 1}
-    for skip, take in pairs:
+    for skip, take in arcs:
         nxt: dict[int, int] = {}
         get = nxt.get
         for t, c in entries.items():
@@ -142,63 +136,33 @@ def _propagate_sparse(
             nxt[u] = get(u, 0) + c
             v = t + take
             nxt[v] = get(v, 0) + c
-        if len(nxt) > max_entries:
+        if len(nxt) > MAX_PROFILE_ENTRIES:
             raise ResourceLimit(
-                f"profile grew past {max_entries} distinct arrival times"
+                f"profile grew past {MAX_PROFILE_ENTRIES} distinct arrival times"
             )
         entries = nxt
-    times = tuple(sorted(entries))
+    times = sorted(entries)
+    # An explicit dtype: np.array([1, 2**63]) would silently become float64.
     return ArrivalProfile(
-        stage_index=len(pairs),
-        times=times,
-        counts=tuple(entries[t] for t in times),
+        stage_index=len(arcs),
+        times=np.array(times, dtype=np.int64 if times[-1] < 2**63 else object),
+        counts=np.array([entries[t] for t in times], dtype=_count_dtype(len(arcs))),
     )
 
 
-def _propagate_pairs(
-    pairs: Sequence[tuple[int, int]],
-    max_packed_bits: int,
-    max_entries: int,
-) -> ArrivalProfile:
-    t_max = sum(max(skip, take) for skip, take in pairs)
-    n = len(pairs)
-    width_bits = 8 * ((n + 1 + 7) // 8)
-    if width_bits * (t_max + 1) <= max_packed_bits:
-        return _propagate_packed(pairs, t_max)
-    return _propagate_sparse(pairs, max_entries)
-
-
-def propagate(
-    layout: DeviceLayout,
-    *,
-    max_packed_bits: int = MAX_PACKED_BITS,
-    max_entries: int = MAX_PROFILE_ENTRIES,
-) -> ArrivalProfile:
-    """Exact destination profile of the offset device.
+def propagate(layout: DeviceLayout) -> ArrivalProfile:
+    """Exact destination profile of a device.
 
     A zero-stage layout yields the single undivided ray at time 0. After n
-    stages the total ray count is 2^n, the earliest ray (the empty subset)
-    arrives at n*k and the latest (the full set) at sum(a_i) + n*k.
+    stages of the offset device the total ray count is 2^n, the earliest ray
+    (the empty subset) arrives at n*k and the latest (the full set) at
+    sum(a_i) + n*k.
     """
-    return _propagate_pairs(
-        [(s.skip_delay, s.take_delay) for s in layout.stages],
-        max_packed_bits,
-        max_entries,
-    )
-
-
-def propagate_epsilon(
-    layout: EpsilonLayout,
-    *,
-    max_packed_bits: int = MAX_PACKED_BITS,
-    max_entries: int = MAX_PROFILE_ENTRIES,
-) -> ArrivalProfile:
-    """Destination profile of the epsilon device (skip arcs of length epsilon)."""
-    return _propagate_pairs(
-        [(s.skip_delay, s.take_delay) for s in layout.stages],
-        max_packed_bits,
-        max_entries,
-    )
+    arcs = [(s.skip_delay, s.take_delay) for s in layout.stages]
+    horizon = sum(max(arc) for arc in arcs)
+    if horizon + 1 <= MAX_DENSE_SLOTS:
+        return _propagate_dense(arcs, horizon)
+    return _propagate_sparse(arcs)
 
 
 def write_profile(profile: ArrivalProfile, fh: IO[str]) -> None:
@@ -297,7 +261,7 @@ def epsilon_false_positive_demo(
     """
     if params is None:
         params = PhysicalParams()
-    eps_profile = propagate_epsilon(compile_epsilon_layout(instance, epsilon))
+    eps_profile = propagate(compile_epsilon_layout(instance, epsilon))
     offset_report = detect(propagate(compile_layout(instance, params)), instance, params)
     oracle = solve_auto(instance)
     return EpsilonDemoReport(
@@ -342,7 +306,8 @@ def perturb_and_classify(
     """Cut every cable with a uniform length error and re-run the detection.
 
     Errors are drawn on a grid of quantum_length / 1e6 so arrival times stay
-    exact rationals; an arrival registers as the target moment when it lies
+    exact rationals; a nonzero max error finer than that grid is rejected
+    rather than silently read as zero. An arrival registers as the target moment when it lies
     within half a delay quantum of it (times are only resolvable to the
     quantum, so closer than half a quantum is indistinguishable from exact).
     Each trial's detection is classified against the oracle verdict.
@@ -359,6 +324,10 @@ def perturb_and_classify(
 
     # Everything below is integer arithmetic in grid units of quantum/1e6.
     err_span = int(max_error * PERTURB_GRID / params.quantum_length_m)
+    if max_error > 0 and err_span == 0:
+        raise InvalidValue(
+            f"max_error_m is finer than the perturbation grid of quantum_length/{PERTURB_GRID}"
+        )
     target_g = (instance.target + n * params.offset_k_quanta) * PERTURB_GRID
     window_g = PERTURB_GRID // 2
     oracle_yes = solve_auto(instance).verdict is Verdict.YES

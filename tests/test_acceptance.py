@@ -137,7 +137,7 @@ def test_criterion_6_epsilon_device_false_positive():
     inst = ls.Instance.from_values([5, 9, 10, 11], 8)
     demo = ls.epsilon_false_positive_demo(inst, 1, P)
     raw_moment_hit = (
-        ls.propagate_epsilon(ls.compile_epsilon_layout(inst, 1)).count_at(8) >= 1
+        ls.propagate(ls.compile_epsilon_layout(inst, 1)).count_at(8) >= 1
     )
     ok = (
         demo.epsilon_verdict is ls.Verdict.YES

@@ -224,3 +224,47 @@ def test_dump_profile_warns_when_command_has_no_profile(tmp_path, capsys):
     assert code == 0
     assert "ignored" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("params,flags", [
+    ({"source_power_w": "inf"}, []),
+    ({}, ["--max-cable-m", "inf"]),
+    ({}, ["--quantum-s", "inf"]),
+    ({}, ["--slow-light", "inf"]),
+])
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys, params, flags):
+    f = write_instance(tmp_path, {"set": [1, 2], "target": 3, "params": params})
+    code, report, err = run(capsys, ["solve", f, *flags])
+    assert code == 3
+    assert report is None
+    assert "finite" in err
+
+
+def test_huge_decimal_exponents_are_input_errors(tmp_path, capsys):
+    f = write_instance(tmp_path, {"set": [1, 2], "target": "1e-20000"})
+    code, _, err = run(capsys, ["solve", f])
+    assert code == 3
+    assert "ceiling" in err
+    f = write_instance(tmp_path, {"set": [1, 2], "target": 3})
+    code, _, err = run(capsys, ["analyze", f, "--max-cable-m", "1e5000"])
+    assert code == 3
+    assert "ceiling" in err
+
+
+def test_perturb_error_finer_than_the_grid_is_an_input_error(tmp_path, capsys):
+    f = write_instance(tmp_path, {"set": [3, 5, 7], "target": 8})
+    code, report, err = run(capsys, ["perturb", f, "--max-error-m", "1e-10"])
+    assert code == 3
+    assert report is None
+    assert "grid" in err
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "cmd_solve", broken)
+    f = write_instance(tmp_path, {"set": [1], "target": 1})
+    code, _, err = run(capsys, ["solve", f])
+    assert code == cli.EXIT_INTERNAL_ERROR == 5
+    assert "Traceback" in err and "RuntimeError: injected" in err

@@ -221,10 +221,13 @@ def test_compile_is_deterministic():
 
 
 def test_layout_validation_rejects_malformed_stages():
-    with pytest.raises(ls.InvalidValue):
-        ls.DeviceLayout(stages=(ls.Stage(value=2, skip_delay=1, take_delay=2),), offset_k=1)
-    with pytest.raises(ls.InvalidValue):
-        ls.EpsilonLayout(stages=(ls.Stage(value=2, skip_delay=1, take_delay=3),), epsilon=1)
+    for bad in [
+        ls.Stage(value=0, skip_delay=1, take_delay=1),
+        ls.Stage(value=2, skip_delay=0, take_delay=3),
+        ls.Stage(value=2, skip_delay=1, take_delay=0),
+    ]:
+        with pytest.raises(ls.InvalidValue):
+            ls.DeviceLayout(stages=(ls.Stage(value=1, skip_delay=1, take_delay=2), bad))
 
 
 def test_compile_epsilon_layout():

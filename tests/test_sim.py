@@ -6,12 +6,13 @@ import io
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lightsum as ls
-from lightsum.sim import _propagate_pairs
+from lightsum import sim
 
 from helpers import subset_sums
 
@@ -86,40 +87,54 @@ def test_stage_recurrence_shift_and_merge(values, extra, k):
     assert grown == dict(merged)
 
 
-@given(values=small_values, k=st.integers(1, 5))
+@given(values=small_values, delay=st.integers(1, 5), epsilon=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_packed_and_sparse_paths_agree(values, k):
-    pairs = [(k, v + k) for v in values]
-    packed = _propagate_pairs(pairs, 1 << 26, 1 << 21)
-    sparse = _propagate_pairs(pairs, 0, 1 << 21)
-    assert packed == sparse
+def test_dense_and_map_paths_match_subset_sums(values, delay, epsilon):
+    # A path's delay is sum(skip) plus sum(take - skip) over the stages it
+    # takes, for the offset device and the epsilon device alike.
+    inst = ls.Instance.from_values(values, 0)
+    if epsilon:
+        layout = ls.compile_epsilon_layout(inst, delay)
+    else:
+        layout = ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=delay))
+    base = sum(s.skip_delay for s in layout.stages)
+    gains = [s.take_delay - s.skip_delay for s in layout.stages]
+    expected = {base + s: c for s, c in subset_sums(gains).items()}
+    assert ls.propagate(layout).entries == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "MAX_DENSE_SLOTS", 0)
+        assert ls.propagate(layout).entries == expected
 
 
 def test_wide_count_fields_decode_exactly():
-    # 64 identical unit values: counts are binomial coefficients, which
-    # exercises the beyond-8-byte field decode
+    # n identical unit values: counts are binomial coefficients; n = 63 and
+    # 64 sit on the two sides of the switch from uint64 counts to Python ints
     import math
 
-    inst = ls.Instance.from_values([1] * 64, 0)
-    profile = ls.propagate(ls.compile_layout(inst, P))
-    assert profile.entries == {64 + j: math.comb(64, j) for j in range(65)}
-    assert profile.total_rays() == 2**64
+    for n, dtype in ((63, np.uint64), (64, object)):
+        inst = ls.Instance.from_values([1] * n, 0)
+        profile = ls.propagate(ls.compile_layout(inst, P))
+        assert profile.counts.dtype == dtype
+        assert profile.entries == {n + j: math.comb(n, j) for j in range(n + 1)}
+        assert profile.total_rays() == 2**n
 
 
 def test_sparse_path_handles_values_too_long_to_pack():
-    inst = ls.Instance.from_values([10**9, 10**9], 2 * 10**9)
-    profile = ls.propagate(ls.compile_layout(inst, P))
-    assert profile.entries == {
-        2: 1,
-        10**9 + 2: 2,
-        2 * 10**9 + 2: 1,
-    }
+    # 5e18 takes the arrival times past 2^63
+    for a in (10**9, 5 * 10**18):
+        inst = ls.Instance.from_values([a, a], 2 * a)
+        profile = ls.propagate(ls.compile_layout(inst, P))
+        assert profile.entries == {2: 1, a + 2: 2, 2 * a + 2: 1}
+        assert profile.count_at(a + 2) == 2
+        assert profile.count_at(a + 1) == 0
 
 
-def test_sparse_path_entry_cap():
+def test_sparse_path_entry_cap(monkeypatch):
+    monkeypatch.setattr(sim, "MAX_DENSE_SLOTS", 0)
+    monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
     inst = ls.Instance.from_values([10**9, 10**5, 10**3], 0)
     with pytest.raises(ls.ResourceLimit):
-        ls.propagate(ls.compile_layout(inst, P), max_packed_bits=0, max_entries=4)
+        ls.propagate(ls.compile_layout(inst, P))
 
 
 def test_profile_dump_format():
@@ -225,14 +240,14 @@ def test_offset_choice_changes_moment_never_verdict(values, target):
 
 def test_epsilon_profile_contains_the_masquerading_moment():
     inst = ls.Instance.from_values([5, 9, 10, 11], 8)
-    profile = ls.propagate_epsilon(ls.compile_epsilon_layout(inst, 1))
+    profile = ls.propagate(ls.compile_epsilon_layout(inst, 1))
     assert profile.count_at(8) >= 1  # a_1 + 3*epsilon, not a subset sum
 
 
 def test_epsilon_profile_empty_and_single():
-    assert ls.propagate_epsilon(ls.compile_epsilon_layout(
+    assert ls.propagate(ls.compile_epsilon_layout(
         ls.Instance.from_values([], 0), 1)).entries == {0: 1}
-    assert ls.propagate_epsilon(ls.compile_epsilon_layout(
+    assert ls.propagate(ls.compile_epsilon_layout(
         ls.Instance.from_values([2], 1), 1)).entries == {1: 1, 2: 1}
 
 
