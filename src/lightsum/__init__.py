@@ -11,10 +11,8 @@ timing, slow light).
 """
 
 from .analysis import (
-    BuildCost,
     FeasibilityReport,
     answer_time,
-    build_cost,
     feasibility_report,
     max_detectable_n,
     max_encodable,
@@ -46,7 +44,6 @@ from .model import (
 )
 from .oracles import (
     OracleResult,
-    enumerate_subset_sums,
     solve_auto,
     solve_bruteforce,
     solve_dp,

@@ -79,22 +79,6 @@ def answer_time(instance: Instance, params: PhysicalParams) -> Fraction:
     return moment * params.delay_quantum_s
 
 
-@dataclass(frozen=True)
-class BuildCost:
-    """Dimensionless build-cost proxies: DP-style work n*B, and the total
-    quanta of fiber to cut, sum(a_i) + 2*n*k."""
-
-    table_cells: int
-    cable_quanta: int
-
-
-def build_cost(instance: Instance, params: PhysicalParams) -> BuildCost:
-    return BuildCost(
-        table_cells=instance.n * instance.target,
-        cable_quanta=instance.total + 2 * instance.n * params.offset_k_quanta,
-    )
-
-
 def slow_light_rescale(params: PhysicalParams, factor: RationalLike) -> PhysicalParams:
     """Slow the light down by `factor`, shrinking every physical length.
 

@@ -2,9 +2,9 @@
 
 One command per run, one JSON report on stdout; human-readable tables go to
 stderr under --verbose. Exit codes: 0 YES (or plain success for commands
-without a verdict), 1 NO, 2 simulator/oracle disagreement, 3 bad input,
-4 resource limit exceeded, 5 internal error (an unexpected exception, with
-its traceback on stderr; never read as a verdict).
+without a verdict), 1 NO, 2 simulator/oracle disagreement, 3 bad input
+(usage errors included), 4 resource limit exceeded, 5 internal error (an
+unexpected exception, with its traceback on stderr; never read as a verdict).
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="light speed fraction in fiber (default 1.0)")
     shared.add_argument("--slow-light", default=None, metavar="F",
                         help="additional slow-light factor applied on top")
-    shared.add_argument("--oracle", choices=sorted(ORACLES), default="auto",
-                        help="reference solver (default auto)")
-    shared.add_argument("--dump-profile", default=None, metavar="PATH",
-                        help="write the arrival profile as '<time> <count>' lines")
-    shared.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     shared.add_argument("--verbose", action="store_true",
                         help="human-readable tables on stderr")
 
@@ -86,6 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[shared],
                        help="decide the instance and cross-check against an oracle")
+    p.add_argument("--oracle", choices=sorted(ORACLES), default="auto",
+                   help="reference solver (default auto)")
+    p.add_argument("--dump-profile", default=None, metavar="PATH",
+                   help="write the arrival profile as '<time> <count>' lines")
     p.add_argument("--max-cable-m", default=None, metavar="METERS",
                    help="also include a feasibility report for this cable budget")
     p.set_defaults(func=cmd_solve)
@@ -102,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-epsilon", parents=[shared],
                        help="show the spurious detection of the epsilon device")
+    p.add_argument("--dump-profile", default=None, metavar="PATH",
+                   help="write the arrival profile as '<time> <count>' lines")
     p.add_argument("--epsilon", type=int, default=1, metavar="QUANTA",
                    help="skip-arc length of the epsilon device (default 1)")
     p.set_defaults(func=cmd_demo_epsilon)
@@ -111,13 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-error-m", required=True, metavar="METERS",
                    help="maximum absolute length error per cable")
     p.add_argument("--trials", type=int, default=1000, help="number of trials (default 1000)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.set_defaults(func=cmd_perturb)
     return parser
 
 
 def _load(args: argparse.Namespace) -> tuple[Instance, PhysicalParams]:
     """File params override the defaults; explicit CLI flags override the file."""
-    raw, params = load_instance_file(args.file, PhysicalParams())
+    raw, params = load_instance_file(args.file)
     overrides: dict[str, object] = {}
     if args.k is not None:
         overrides["offset_k_quanta"] = args.k
@@ -139,11 +141,6 @@ def _emit(report: dict[str, object]) -> None:
 def _vprint(args: argparse.Namespace, text: str) -> None:
     if args.verbose:
         sys.stderr.write(text + "\n")
-
-
-def _warn_no_profile(args: argparse.Namespace) -> None:
-    if args.dump_profile:
-        sys.stderr.write(f"warning: {args.command} produces no profile; --dump-profile ignored\n")
 
 
 def _instance_echo(instance: Instance) -> dict[str, object]:
@@ -197,7 +194,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    _warn_no_profile(args)
     instance, params = _load(args)
     layout = compile_layout(instance, params)
     lengths = cable_lengths(layout, params)
@@ -228,7 +224,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _warn_no_profile(args)
     instance, params = _load(args)
     report = feasibility_report(instance, params, args.max_cable_m)
     _emit(report.to_json_dict())
@@ -253,7 +248,6 @@ def cmd_demo_epsilon(args: argparse.Namespace) -> int:
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
-    _warn_no_profile(args)
     instance, params = _load(args)
     layout = compile_layout(instance, params)
     report = perturb_and_classify(
@@ -265,8 +259,12 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; argparse exits 2 on a usage error, which here is
+        # the disagreement code, so report it as bad input.
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT_ERROR
     try:
         return args.func(args)
     except (ParseError, InvalidValue, Overflow, InvalidPerturbation) as exc:

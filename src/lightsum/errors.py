@@ -14,7 +14,9 @@ class InvalidValue(LightsumError):
 
 
 class Overflow(LightsumError):
-    """A normalized value exceeds the configured big-integer ceiling."""
+    """A number is past a fixed ceiling: a decimal exponent beyond
+    rational.MAX_DECIMAL_EXPONENT, or a normalized value or encodable cable
+    beyond model.DEFAULT_VALUE_CEILING."""
 
 
 class StageMismatch(LightsumError):
@@ -23,10 +25,10 @@ class StageMismatch(LightsumError):
 
 
 class ResourceLimit(LightsumError):
-    """An exact computation would exceed its configured memory or size budget.
+    """An exact computation would exceed its memory or size budget.
 
     The result is never silently approximated; callers should pick a
-    different solver or raise the budget.
+    different solver or a smaller instance.
     """
 
 

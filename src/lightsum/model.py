@@ -14,18 +14,18 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
-from decimal import Decimal, InvalidOperation
+from dataclasses import dataclass, fields
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
 from .errors import InvalidValue, Overflow, ParseError
-from .rational import to_fraction
+from .rational import parse_decimal, to_fraction
 
-# Normalized values and targets above this are rejected; raise it explicitly
-# if you really need larger instances.
+# Normalized values and targets above this are rejected, and analysis refuses
+# cables that would encode more quanta than this.
 DEFAULT_VALUE_CEILING = 10**18
 
 
@@ -38,35 +38,6 @@ class Verdict(str, Enum):
     @classmethod
     def from_bool(cls, yes: bool) -> "Verdict":
         return cls.YES if yes else cls.NO
-
-
-def parse_decimal(text: str | int | Decimal) -> Decimal:
-    """Parse a finite decimal number exactly.
-
-    Accepts plain and exponent notation ("4.001", "1e-3"). Floats are refused:
-    their binary value rarely equals the decimal the caller meant, which would
-    silently mis-normalize the instance.
-    """
-    if isinstance(text, bool):
-        raise ParseError("booleans are not numbers")
-    if isinstance(text, float):
-        raise ParseError(
-            f"floats are not accepted ({text!r}); pass the number as a decimal string"
-        )
-    if isinstance(text, Decimal):
-        d = text
-    elif isinstance(text, int):
-        d = Decimal(text)
-    elif isinstance(text, str):
-        try:
-            d = Decimal(text.strip())
-        except InvalidOperation as exc:
-            raise ParseError(f"not a finite decimal number: {text!r}") from exc
-    else:
-        raise ParseError(f"cannot parse {type(text).__name__} as a decimal number")
-    if not d.is_finite():
-        raise ParseError(f"not a finite decimal number: {text!r}")
-    return d
 
 
 def _least_digit_exponent(d: Decimal) -> int | None:
@@ -88,29 +59,28 @@ def _least_digit_exponent(d: Decimal) -> int | None:
 class RawInstance:
     """A set of positive decimal numbers and a non-negative decimal target.
 
-    Values are kept as the exact decimal strings the user supplied;
-    :func:`normalize` turns them into integer delay quanta.
+    Each number is parsed once, on construction, and kept as the exact
+    Decimal; :func:`normalize` turns them into integer delay quanta.
     """
 
-    values: tuple[str, ...]
-    target: str
+    values: tuple[Decimal, ...]
+    target: Decimal
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(map(parse_decimal, self.values)))
+        object.__setattr__(self, "target", parse_decimal(self.target))
         for v in self.values:
-            if parse_decimal(v) <= 0:
-                raise InvalidValue(f"set elements must be strictly positive, got {v!r}")
-        if parse_decimal(self.target) < 0:
-            raise InvalidValue(f"target must be non-negative, got {self.target!r}")
+            if v <= 0:
+                raise InvalidValue(f"set elements must be strictly positive, got {str(v)!r}")
+        if self.target < 0:
+            raise InvalidValue(f"target must be non-negative, got {str(self.target)!r}")
 
     @classmethod
     def from_values(
-        cls, values: Iterable[str | int | Decimal], target: str | int | Decimal
+        cls, values: Iterable[int | str | Decimal], target: int | str | Decimal
     ) -> "RawInstance":
-        """Build from heterogeneous inputs, rendering each to a decimal string."""
-        return cls(
-            values=tuple(str(parse_decimal(v)) for v in values),
-            target=str(parse_decimal(target)),
-        )
+        """Build from any iterable of numbers."""
+        return cls(values=tuple(values), target=target)
 
 
 @dataclass(frozen=True)
@@ -143,7 +113,7 @@ class Instance:
         return sum(self.values)
 
 
-def normalize(raw: RawInstance, *, ceiling: int = DEFAULT_VALUE_CEILING) -> Instance:
+def normalize(raw: RawInstance) -> Instance:
     """Rescale all values and the target jointly by one power of ten.
 
     The exponent is chosen so the least significant nonzero digit across the
@@ -153,10 +123,11 @@ def normalize(raw: RawInstance, *, ceiling: int = DEFAULT_VALUE_CEILING) -> Inst
     (scale 1000); {100, 2000} / 2100 becomes {1, 20} / 21 (scale 1/100).
 
     The same factor is applied to values and target; scaling them differently
-    would change the answer.
+    would change the answer. Results above DEFAULT_VALUE_CEILING raise Overflow.
     """
-    decimals = [parse_decimal(v) for v in raw.values]
-    target_dec = parse_decimal(raw.target)
+    ceiling = DEFAULT_VALUE_CEILING
+    decimals = list(raw.values)
+    target_dec = raw.target
     exponents = [e for e in map(_least_digit_exponent, decimals + [target_dec]) if e is not None]
     scale_exp = -min(exponents) if exponents else 0
     # A number normalizes to at least 10^(adjusted + scale_exp), which is over
@@ -190,8 +161,8 @@ def normalize(raw: RawInstance, *, ceiling: int = DEFAULT_VALUE_CEILING) -> Inst
 class PhysicalParams:
     """Physical constants of the device, held as exact rationals.
 
-    Numeric arguments may be given as int, str, Fraction, Decimal or float;
-    floats are read through their decimal repr, so 1e-12 means exactly 10**-12.
+    Numeric arguments may be given as int, str, Fraction or Decimal; anything
+    but a Fraction goes through rational.parse_decimal, which refuses floats.
     Defaults: picosecond delay quantum (the oscilloscope rise time), vacuum
     light speed, ideal splitters, a 1 W source, photomultiplier gain 1e8 and a
     1 nW detection threshold.
@@ -212,7 +183,7 @@ class PhysicalParams:
                 continue
             object.__setattr__(self, f.name, to_fraction(getattr(self, f.name)))
         if isinstance(self.offset_k_quanta, bool) or not isinstance(self.offset_k_quanta, int):
-            raise InvalidValue("offset_k_quanta must be an integer")
+            raise ParseError("offset_k_quanta must be an integer")
         if self.delay_quantum_s <= 0:
             raise InvalidValue("delay_quantum_s must be > 0")
         if self.light_speed_m_s <= 0:
@@ -311,8 +282,8 @@ def cable_lengths(layout: DeviceLayout, params: PhysicalParams) -> list[Fraction
 # --- instance files ---------------------------------------------------------
 #
 # UTF-8 JSON: {"set": [...], "target": ..., "params": {...}} where numbers may
-# be decimal strings or JSON numbers (floats are parsed as exact decimals,
-# never as binary doubles) and "params" optionally overrides the fields below.
+# be decimal strings or JSON numbers (loaded as exact Decimals, never as binary
+# doubles) and "params" optionally overrides the fields below.
 
 INSTANCE_PARAM_KEYS = (
     "delay_quantum_s",
@@ -325,9 +296,7 @@ INSTANCE_PARAM_KEYS = (
 )
 
 
-def parse_instance_document(
-    doc: object, base_params: PhysicalParams | None = None
-) -> tuple[RawInstance, PhysicalParams]:
+def parse_instance_document(doc: object) -> tuple[RawInstance, PhysicalParams]:
     """Validate a decoded instance document and apply its params overrides."""
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
@@ -340,33 +309,20 @@ def parse_instance_document(
         raise ParseError('"set" must be an array')
     raw = RawInstance.from_values(doc["set"], doc["target"])
 
-    params = base_params if base_params is not None else PhysicalParams()
     overrides = doc.get("params", {})
     if not isinstance(overrides, dict):
         raise ParseError('"params" must be an object')
     bad = set(overrides) - set(INSTANCE_PARAM_KEYS)
     if bad:
         raise ParseError(f"unknown params fields: {sorted(bad)}")
-    if overrides:
-        kwargs: dict[str, object] = {}
-        for key, value in overrides.items():
-            if key == "offset_k_quanta":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ParseError("offset_k_quanta must be an integer")
-                kwargs[key] = value
-            else:
-                kwargs[key] = to_fraction(value)  # type: ignore[arg-type]
-        params = replace(params, **kwargs)  # type: ignore[arg-type]
-    return raw, params
+    return raw, PhysicalParams(**overrides)
 
 
-def load_instance_file(
-    path: str | Path, base_params: PhysicalParams | None = None
-) -> tuple[RawInstance, PhysicalParams]:
+def load_instance_file(path: str | Path) -> tuple[RawInstance, PhysicalParams]:
     """Read and validate an instance file."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text, parse_float=Decimal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return parse_instance_document(doc, base_params)
+    return parse_instance_document(doc)

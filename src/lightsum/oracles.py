@@ -9,7 +9,6 @@ at least one of these.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import ResourceLimit
 from .model import Instance, Verdict
 
-# Configuration constants, overridable per call.
+# Size caps; each solver reads its cap when it is called.
 BRUTE_FORCE_MAX_N = 25
 MITM_MAX_N = 50
 DP_MAX_TABLE_BITS = 10**8
@@ -42,12 +41,7 @@ class OracleResult:
         }
 
 
-def solve_dp(
-    instance: Instance,
-    want_witness: bool = False,
-    *,
-    max_table_bits: int = DP_MAX_TABLE_BITS,
-) -> OracleResult:
+def solve_dp(instance: Instance, want_witness: bool = False) -> OracleResult:
     """Reachability DP over sums 0..B, one bit per sum.
 
     The table is a single big integer; witness extraction keeps one snapshot
@@ -55,9 +49,9 @@ def solve_dp(
     """
     b = instance.target
     rows = instance.n + 1 if want_witness else 1
-    if (b + 1) * rows > max_table_bits:
+    if (b + 1) * rows > DP_MAX_TABLE_BITS:
         raise ResourceLimit(
-            f"DP table of {(b + 1) * rows} bits exceeds the budget of {max_table_bits}"
+            f"DP table of {(b + 1) * rows} bits exceeds the budget of {DP_MAX_TABLE_BITS}"
         )
     mask = (1 << (b + 1)) - 1
     reach = 1
@@ -94,29 +88,12 @@ def _all_subset_sums(values: tuple[int, ...]) -> np.ndarray | list[int]:
     return sums
 
 
-def enumerate_subset_sums(
-    values: tuple[int, ...], *, max_n: int = BRUTE_FORCE_MAX_N
-) -> Counter[int]:
-    """Multiset of all 2^n subset sums, keyed by sum.
-
-    This is the reference histogram the simulated arrival profile must match
-    (shifted by n*k).
-    """
-    if len(values) > max_n:
-        raise ResourceLimit(f"brute force is capped at n <= {max_n}, got {len(values)}")
-    sums = _all_subset_sums(values)
-    if isinstance(sums, np.ndarray):
-        uniq, counts = np.unique(sums, return_counts=True)
-        return Counter(dict(zip(uniq.tolist(), counts.tolist())))
-    return Counter(sums)
-
-
-def solve_bruteforce(
-    instance: Instance, *, max_n: int = BRUTE_FORCE_MAX_N
-) -> OracleResult:
+def solve_bruteforce(instance: Instance) -> OracleResult:
     """Exhaustive enumeration of every subset sum."""
-    if instance.n > max_n:
-        raise ResourceLimit(f"brute force is capped at n <= {max_n}, got {instance.n}")
+    if instance.n > BRUTE_FORCE_MAX_N:
+        raise ResourceLimit(
+            f"brute force is capped at n <= {BRUTE_FORCE_MAX_N}, got {instance.n}"
+        )
     sums = _all_subset_sums(instance.values)
     if isinstance(sums, np.ndarray):
         yes = instance.target <= instance.total and bool(
@@ -127,10 +104,12 @@ def solve_bruteforce(
     return OracleResult(Verdict.from_bool(yes), None, "bruteforce")
 
 
-def solve_mitm(instance: Instance, *, max_n: int = MITM_MAX_N) -> OracleResult:
+def solve_mitm(instance: Instance) -> OracleResult:
     """Meet-in-the-middle: O(2^(n/2)) time, independent of the target size."""
-    if instance.n > max_n:
-        raise ResourceLimit(f"meet-in-the-middle is capped at n <= {max_n}, got {instance.n}")
+    if instance.n > MITM_MAX_N:
+        raise ResourceLimit(
+            f"meet-in-the-middle is capped at n <= {MITM_MAX_N}, got {instance.n}"
+        )
     half = instance.n // 2
     left = _all_subset_sums(instance.values[:half])
     right = _all_subset_sums(instance.values[half:])

@@ -1,8 +1,16 @@
-"""Exact rational helpers.
+"""Exact rational helpers and the package's one number parser.
 
 All physical quantities in this package (lengths, times, powers) are kept as
 `fractions.Fraction` so that boundary comparisons such as floor(3000 m /
 0.0003 m) are decided exactly, never through binary floats.
+
+Every number that enters from outside, instance values and targets as well as
+physical parameters, is read by :func:`parse_decimal`: an int, a Decimal or a
+decimal string in plain or exponent notation ("4.001", "1e-3"). Floats are
+refused everywhere, because their binary value rarely equals the decimal the
+caller meant; pass the number as a string instead. Booleans, other types,
+NaN, infinities and decimal exponents past MAX_DECIMAL_EXPONENT are refused
+as well.
 """
 
 from __future__ import annotations
@@ -10,32 +18,55 @@ from __future__ import annotations
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import Overflow, ParseError
 
-RationalLike = int | str | Fraction | Decimal | float
+RationalLike = int | str | Fraction | Decimal
+
+# A number whose adjusted decimal exponent is larger than this in magnitude
+# is rejected before anything builds 10^exponent, which for an exponent like
+# 1e7 alone takes seconds. Zero is exempt: it converts without that power.
+MAX_DECIMAL_EXPONENT = 1000
+
+
+def parse_decimal(x: int | str | Decimal) -> Decimal:
+    """Parse a finite decimal number exactly; the one place that decides
+    which inputs are numbers."""
+    if isinstance(x, bool):
+        raise ParseError("booleans are not numbers")
+    if isinstance(x, float):
+        raise ParseError(
+            f"floats are not accepted ({x!r}); pass the number as a decimal string"
+        )
+    if isinstance(x, Decimal):
+        d = x
+    elif isinstance(x, int):
+        d = Decimal(x)
+    elif isinstance(x, str):
+        try:
+            d = Decimal(x.strip())
+        except (InvalidOperation, ValueError) as exc:
+            raise ParseError(f"not a finite decimal number: {x!r}") from exc
+    else:
+        raise ParseError(f"cannot parse {type(x).__name__} as a decimal number")
+    if not d.is_finite():
+        raise ParseError(f"not a finite decimal number: {x!r}")
+    if d and abs(d.adjusted()) > MAX_DECIMAL_EXPONENT:
+        raise Overflow(
+            f"{d} has a decimal exponent past the ceiling of 10^±{MAX_DECIMAL_EXPONENT}"
+        )
+    return d
 
 
 def to_fraction(x: RationalLike) -> Fraction:
-    """Convert to Fraction, reading floats through their shortest decimal repr.
-
-    A literal like 1e-12 therefore means exactly 10**-12, not the nearest
-    binary double. Infinities and NaNs raise ParseError.
-    """
-    if isinstance(x, bool):
-        raise ParseError("booleans are not numbers")
+    """A Fraction as it is; anything else through :func:`parse_decimal`."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        x = str(x)
-    try:
-        d = Decimal(x)
-    except (InvalidOperation, ValueError, TypeError) as exc:
-        raise ParseError(f"not a finite decimal number: {x!r}") from exc
-    if not d.is_finite():
-        raise ParseError(f"not a finite decimal number: {x!r}")
-    return Fraction(d)
+    return Fraction(parse_decimal(x))
+
+
+def _digits(i: int) -> str:
+    # Through Decimal, which is exact and, unlike str(int), has no digit limit.
+    return str(Decimal(i))
 
 
 def fraction_str(f: Fraction) -> str:
@@ -44,7 +75,7 @@ def fraction_str(f: Fraction) -> str:
     Used for JSON reports: the output parses back to the identical rational.
     """
     if f.denominator == 1:
-        return str(f.numerator)
+        return _digits(f.numerator)
     den = f.denominator
     twos = 0
     while den % 2 == 0:
@@ -55,9 +86,9 @@ def fraction_str(f: Fraction) -> str:
         den //= 5
         fives += 1
     if den != 1:
-        return f"{f.numerator}/{f.denominator}"
+        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
     digits = max(twos, fives)
     scaled = abs(f.numerator) * 10**digits // f.denominator
-    text = str(scaled).rjust(digits + 1, "0")
+    text = _digits(scaled).rjust(digits + 1, "0")
     sign = "-" if f.numerator < 0 else ""
     return f"{sign}{text[:-digits]}.{text[-digits:]}"

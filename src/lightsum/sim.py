@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -79,14 +78,6 @@ class ArrivalProfile:
     def items(self) -> list[tuple[int, int]]:
         """(time, count) pairs in ascending time, as plain ints."""
         return list(zip(self.times.tolist(), self.counts.tolist()))
-
-    @cached_property
-    def entries(self) -> dict[int, int]:
-        """The profile as a time -> count map."""
-        return dict(self.items())
-
-    def total_rays(self) -> int:
-        return sum(self.counts.tolist())
 
     @property
     def min_time(self) -> int:
@@ -300,8 +291,6 @@ def perturb_and_classify(
     max_error_m: RationalLike,
     trials: int,
     rng_seed: int,
-    *,
-    max_paths: int = MAX_PERTURB_PATHS,
 ) -> PerturbationReport:
     """Cut every cable with a uniform length error and re-run the detection.
 
@@ -311,7 +300,8 @@ def perturb_and_classify(
     within half a delay quantum of it (times are only resolvable to the
     quantum, so closer than half a quantum is indistinguishable from exact).
     Each trial's detection is classified against the oracle verdict.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. More than MAX_PERTURB_PATHS paths raise
+    ResourceLimit.
     """
     max_error = to_fraction(max_error_m)
     if max_error < 0:
@@ -319,7 +309,7 @@ def perturb_and_classify(
     if trials < 1:
         raise InvalidValue("trials must be >= 1")
     n = len(layout.stages)
-    if 2**n > max_paths:
+    if 2**n > MAX_PERTURB_PATHS:
         raise ResourceLimit(f"perturbation trials enumerate 2^{n} paths, over the cap")
 
     # Everything below is integer arithmetic in grid units of quantum/1e6.

@@ -128,13 +128,6 @@ def test_answer_time_is_linear_in_the_checked_moment(target, n, k):
     assert ls.answer_time(inst, params) == (target + n * k) * params.delay_quantum_s
 
 
-def test_build_cost_proxies():
-    inst = ls.Instance.from_values([3, 5, 9], 11)
-    cost = ls.build_cost(inst, ls.PhysicalParams(offset_k_quanta=2))
-    assert cost.table_cells == 3 * 11
-    assert cost.cable_quanta == 17 + 2 * 3 * 2
-
-
 # --- slow light --------------------------------------------------------------
 
 def test_commercial_fiber_slowdown():

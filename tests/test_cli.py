@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -63,8 +65,8 @@ def test_solve_normalizes_decimals(tmp_path, capsys):
 
 def test_solve_reports_are_deterministic_apart_from_timing(tmp_path, capsys):
     f = write_instance(tmp_path, {"set": [3, 5, 8], "target": 11})
-    _, first, _ = run(capsys, ["solve", f, "--seed", "9"])
-    _, second, _ = run(capsys, ["solve", f, "--seed", "9"])
+    _, first, _ = run(capsys, ["solve", f])
+    _, second, _ = run(capsys, ["solve", f])
     first.pop("timing")
     second.pop("timing")
     assert first == second
@@ -217,13 +219,26 @@ def test_verbose_tables_go_to_stderr(tmp_path, capsys):
     assert "simulator=YES" in err
 
 
-def test_dump_profile_warns_when_command_has_no_profile(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["solve", "--bogus", "{f}"],
+    ["compile", "{f}", "--seed", "1"],
+    ["analyze", "{f}", "--dump-profile", "{out}"],
+    ["perturb", "{f}", "--max-error-m", "0", "--oracle", "brute"],
+])
+def test_usage_errors_are_input_errors(tmp_path, capsys, argv):
+    # argparse would exit 2, which is the disagreement code
     f = write_instance(tmp_path, {"set": [1], "target": 1})
     out = tmp_path / "p.txt"
-    code, _, err = run(capsys, ["analyze", f, "--dump-profile", str(out)])
-    assert code == 0
-    assert "ignored" in err
+    code, report, err = run(capsys, [a.format(f=f, out=out) for a in argv])
+    assert code == 3
+    assert report is None
+    assert "usage" in err
     assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["solve", "--help"]) == 0
+    assert "--dump-profile" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("params,flags", [
@@ -249,6 +264,28 @@ def test_huge_decimal_exponents_are_input_errors(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", f, "--max-cable-m", "1e5000"])
     assert code == 3
     assert "ceiling" in err
+    # Exponents like these are rejected before 10^exponent is built, which
+    # alone would take seconds to minutes.
+    code, _, err = run(capsys, ["solve", f, "--quantum-s", "1e-10000000"])
+    assert code == 3
+    assert "ceiling" in err
+    f = write_instance(tmp_path, {"set": ["1e10000000"], "target": 0})
+    code, _, err = run(capsys, ["solve", f])
+    assert code == 3
+    assert "ceiling" in err
+
+
+def test_reports_render_numbers_longer_than_str_allows(tmp_path, capsys):
+    # per_ray_power_w = (t/2)^5 has about 5000 digits, past the limit on
+    # converting an int to str
+    t = "0." + "9" * 1000
+    f = write_instance(tmp_path, {
+        "set": [1, 2, 3, 4, 5], "target": 5, "params": {"splitter_transmission": t},
+    })
+    code, report, _ = run(capsys, ["solve", f])
+    assert code == 0
+    power = report["simulator"]["per_ray_power_w"]
+    assert Fraction(Decimal(power)) == (Fraction(Decimal(t)) / 2) ** 5
 
 
 def test_perturb_error_finer_than_the_grid_is_an_input_error(tmp_path, capsys):

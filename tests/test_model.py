@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lightsum as ls
-from lightsum.model import parse_decimal
+from lightsum import model
+from lightsum.rational import parse_decimal
 
 from helpers import has_subset_sum
 
@@ -84,19 +85,31 @@ def test_parse_rejects_non_decimal_strings(bad):
         parse_decimal(bad)
 
 
-def test_parse_rejects_floats_and_bools():
-    with pytest.raises(ls.ParseError):
-        parse_decimal(0.1)
-    with pytest.raises(ls.ParseError):
-        parse_decimal(True)
+@pytest.mark.parametrize("where", ["set", "params"])
+@pytest.mark.parametrize("bad,error", [
+    (0.1, ls.ParseError),
+    (True, ls.ParseError),
+    (None, ls.ParseError),
+    ("NaN", ls.ParseError),
+    ("inf", ls.ParseError),
+    ("1e2000", ls.Overflow),
+])
+def test_one_number_policy(bad, error, where):
+    # Instance numbers and physical parameters go through the same parser,
+    # so each input fails the same way in both places.
+    with pytest.raises(error):
+        if where == "set":
+            ls.RawInstance.from_values([bad], 1)
+        else:
+            ls.PhysicalParams(source_power_w=bad)
 
 
-def test_normalize_overflow_beyond_ceiling():
+def test_normalize_overflow_beyond_ceiling(monkeypatch):
     raw = ls.RawInstance.from_values(["1e30"], 1)
     with pytest.raises(ls.Overflow):
         ls.normalize(raw)
-    inst = ls.normalize(raw, ceiling=10**31)
-    assert inst.values == (10**30,)
+    monkeypatch.setattr(model, "DEFAULT_VALUE_CEILING", 10**31)
+    assert ls.normalize(raw).values == (10**30,)
 
 
 decimal_number = st.builds(
@@ -159,12 +172,6 @@ def test_default_quantum_length_is_0_0003_m():
 def test_velocity_factor_scales_quantum_length():
     p = ls.PhysicalParams(velocity_factor="0.6")
     assert p.quantum_length_m == Fraction(18, 100000)  # 0.00018
-
-
-def test_params_accept_floats_as_decimals():
-    p = ls.PhysicalParams(delay_quantum_s=1e-12, splitter_transmission=0.5)
-    assert p.delay_quantum_s == Fraction(1, 10**12)
-    assert p.splitter_transmission == Fraction(1, 2)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lightsum as ls
+from lightsum import oracles
 
 from helpers import subset_sums
 
@@ -38,23 +39,28 @@ def test_dp_empty_set_zero_target_is_yes_with_empty_witness():
     assert result.witness == ()
 
 
-def test_dp_target_budget():
+def test_dp_target_budget(monkeypatch):
+    monkeypatch.setattr(oracles, "DP_MAX_TABLE_BITS", 10**6)
     with pytest.raises(ls.ResourceLimit):
-        ls.solve_dp(ls.Instance.from_values([1], 10**9), max_table_bits=10**6)
+        ls.solve_dp(ls.Instance.from_values([1], 10**6))
+
+
+def enumerated_sums(values):
+    """The doubling enumeration behind brute force and meet-in-the-middle,
+    as a multiset of sums."""
+    return Counter(int(s) for s in oracles._all_subset_sums(tuple(values)))
 
 
 def test_bruteforce_multiset_with_duplicates():
-    counts = ls.enumerate_subset_sums((1, 1))
-    assert counts == Counter({0: 1, 1: 2, 2: 1})
+    assert enumerated_sums((1, 1)) == Counter({0: 1, 1: 2, 2: 1})
 
 
 def test_bruteforce_multiset_empty():
-    assert ls.enumerate_subset_sums(()) == Counter({0: 1})
+    assert enumerated_sums(()) == Counter({0: 1})
 
 
 def test_bruteforce_powers_of_two_hit_every_sum_once():
-    counts = ls.enumerate_subset_sums((1, 2, 4, 8))
-    assert counts == Counter({s: 1 for s in range(16)})
+    assert enumerated_sums((1, 2, 4, 8)) == Counter({s: 1 for s in range(16)})
 
 
 def test_bruteforce_cap():
@@ -121,7 +127,7 @@ def test_yes_is_monotone_under_adding_elements(inst, extra):
 @given(inst=small_instance)
 @settings(max_examples=60)
 def test_bruteforce_multiset_matches_naive_enumeration(inst):
-    assert ls.enumerate_subset_sums(inst.values) == subset_sums(list(inst.values))
+    assert enumerated_sums(inst.values) == subset_sums(list(inst.values))
 
 
 def test_auto_picks_a_working_solver_across_regimes():

@@ -31,23 +31,23 @@ def offset_profile(values, k=1):
 
 def test_two_stage_profile_matches_the_four_moments():
     # 2k, a1+2k, a2+2k, a1+a2+2k with a1=1, a2=2, k=1
-    assert offset_profile([1, 2]).entries == {2: 1, 3: 1, 4: 1, 5: 1}
+    assert dict(offset_profile([1, 2]).items()) == {2: 1, 3: 1, 4: 1, 5: 1}
 
 
 def test_zero_stage_profile_is_single_ray_at_time_zero():
     profile = offset_profile([])
-    assert profile.entries == {0: 1}
+    assert dict(profile.items()) == {0: 1}
     assert profile.stage_index == 0
     assert profile.count_at(5) == 0
 
 
 def test_equal_values_coalesce():
-    assert offset_profile([1, 1]).entries == {2: 1, 3: 2, 4: 1}
+    assert dict(offset_profile([1, 1]).items()) == {2: 1, 3: 2, 4: 1}
 
 
 def test_powers_of_two_reach_every_moment_once():
     profile = offset_profile([1, 2, 4, 8])
-    assert profile.entries == {t: 1 for t in range(4, 20)}
+    assert dict(profile.items()) == {t: 1 for t in range(4, 20)}
 
 
 @given(values=small_values, k=st.integers(1, 5))
@@ -57,7 +57,7 @@ def test_profile_equals_subset_sum_multiset_shifted_by_nk(values, k):
     expected = {
         s + len(values) * k: c for s, c in subset_sums(values).items()
     }
-    assert profile.entries == expected
+    assert dict(profile.items()) == expected
 
 
 @given(values=small_values, k=st.integers(1, 5))
@@ -65,7 +65,7 @@ def test_profile_equals_subset_sum_multiset_shifted_by_nk(values, k):
 def test_count_conservation_symmetry_and_extremes(values, k):
     profile = offset_profile(values, k)
     n, total = len(values), sum(values)
-    assert profile.total_rays() == 2**n
+    assert sum(profile.counts.tolist()) == 2**n
     mirror = total + 2 * n * k
     for t, c in profile.items():
         assert profile.count_at(mirror - t) == c
@@ -78,8 +78,8 @@ def test_count_conservation_symmetry_and_extremes(values, k):
 @given(values=small_values, extra=st.integers(1, 40), k=st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
 def test_stage_recurrence_shift_and_merge(values, extra, k):
-    base = offset_profile(values, k).entries
-    grown = offset_profile(values + [extra], k).entries
+    base = dict(offset_profile(values, k).items())
+    grown = dict(offset_profile(values + [extra], k).items())
     merged = Counter()
     for t, c in base.items():
         merged[t + k] += c
@@ -100,10 +100,10 @@ def test_dense_and_map_paths_match_subset_sums(values, delay, epsilon):
     base = sum(s.skip_delay for s in layout.stages)
     gains = [s.take_delay - s.skip_delay for s in layout.stages]
     expected = {base + s: c for s, c in subset_sums(gains).items()}
-    assert ls.propagate(layout).entries == expected
+    assert dict(ls.propagate(layout).items()) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "MAX_DENSE_SLOTS", 0)
-        assert ls.propagate(layout).entries == expected
+        assert dict(ls.propagate(layout).items()) == expected
 
 
 def test_wide_count_fields_decode_exactly():
@@ -115,8 +115,8 @@ def test_wide_count_fields_decode_exactly():
         inst = ls.Instance.from_values([1] * n, 0)
         profile = ls.propagate(ls.compile_layout(inst, P))
         assert profile.counts.dtype == dtype
-        assert profile.entries == {n + j: math.comb(n, j) for j in range(n + 1)}
-        assert profile.total_rays() == 2**n
+        assert dict(profile.items()) == {n + j: math.comb(n, j) for j in range(n + 1)}
+        assert sum(profile.counts.tolist()) == 2**n
 
 
 def test_sparse_path_handles_values_too_long_to_pack():
@@ -124,7 +124,7 @@ def test_sparse_path_handles_values_too_long_to_pack():
     for a in (10**9, 5 * 10**18):
         inst = ls.Instance.from_values([a, a], 2 * a)
         profile = ls.propagate(ls.compile_layout(inst, P))
-        assert profile.entries == {2: 1, a + 2: 2, 2 * a + 2: 1}
+        assert dict(profile.items()) == {2: 1, a + 2: 2, 2 * a + 2: 1}
         assert profile.count_at(a + 2) == 2
         assert profile.count_at(a + 1) == 0
 
@@ -245,10 +245,10 @@ def test_epsilon_profile_contains_the_masquerading_moment():
 
 
 def test_epsilon_profile_empty_and_single():
-    assert ls.propagate(ls.compile_epsilon_layout(
-        ls.Instance.from_values([], 0), 1)).entries == {0: 1}
-    assert ls.propagate(ls.compile_epsilon_layout(
-        ls.Instance.from_values([2], 1), 1)).entries == {1: 1, 2: 1}
+    empty = ls.propagate(ls.compile_epsilon_layout(ls.Instance.from_values([], 0), 1))
+    assert dict(empty.items()) == {0: 1}
+    single = ls.propagate(ls.compile_epsilon_layout(ls.Instance.from_values([2], 1), 1))
+    assert dict(single.items()) == {1: 1, 2: 1}
 
 
 def test_epsilon_demo_spurious_yes():
@@ -314,6 +314,12 @@ def test_perturbation_is_deterministic_for_a_seed():
 def test_perturbation_rejects_lengths_that_can_go_non_positive():
     with pytest.raises(ls.InvalidPerturbation):
         perturb_values([1, 1, 1], 4, 2 * P.quantum_length_m, 100, seed=0)
+
+
+def test_perturbation_path_cap_is_read_when_called(monkeypatch):
+    monkeypatch.setattr(sim, "MAX_PERTURB_PATHS", 4)
+    with pytest.raises(ls.ResourceLimit):
+        perturb_values([1, 1, 1], 4, 0, 1, seed=0)
 
 
 def test_perturbation_argument_validation():
