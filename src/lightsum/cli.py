@@ -29,7 +29,6 @@ from .model import (
     PhysicalParams,
     Verdict,
     cable_lengths,
-    compile_epsilon_layout,
     compile_layout,
     load_instance_file,
     normalize,
@@ -238,9 +237,8 @@ def cmd_demo_epsilon(args: argparse.Namespace) -> int:
         raise InvalidValue("--epsilon must be >= 1")
     demo = epsilon_false_positive_demo(instance, args.epsilon, params)
     if args.dump_profile:
-        profile = propagate(compile_epsilon_layout(instance, args.epsilon))
         with open(args.dump_profile, "w", encoding="utf-8") as fh:
-            write_profile(profile, fh)
+            write_profile(demo.epsilon_profile, fh)
     _emit(demo.to_json_dict())
     _vprint(args, f"epsilon={demo.epsilon_verdict.value} offset={demo.offset_verdict.value} "
                   f"oracle={demo.oracle_verdict.value} spurious={demo.epsilon_spurious}")

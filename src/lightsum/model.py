@@ -143,7 +143,8 @@ def normalize(raw: RawInstance) -> Instance:
 
     def to_quanta(d: Decimal) -> int:
         q = Fraction(d) * scale
-        assert q.denominator == 1
+        if q.denominator != 1:
+            raise RuntimeError(f"{d} is not integral at scale 10^{scale_exp}")
         if q.numerator > ceiling:
             raise Overflow(
                 f"normalized value {q.numerator} exceeds the ceiling of {ceiling}"

@@ -70,7 +70,8 @@ def solve_dp(instance: Instance, want_witness: bool = False) -> OracleResult:
             if not (snapshots[i] >> s) & 1:
                 picked.append(i)
                 s -= instance.values[i]
-        assert s == 0
+        if s != 0:
+            raise RuntimeError(f"witness sums to the target minus {s}")
         witness = tuple(reversed(picked))
     return OracleResult(Verdict.from_bool(yes), witness, "dp")
 

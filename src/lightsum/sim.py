@@ -12,8 +12,11 @@ fits MAX_DENSE_SLOTS; each stage writes the two shifted copies, summed, into
 a second buffer.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
 (object dtype) take over above. Longer horizons, such as values of 10^9,
-fall back to an explicit time -> count map capped at MAX_PROFILE_ENTRIES
-distinct arrival times. Both return the profile as numpy arrays.
+use the map: sorted arrays of the distinct arrival times (int64 below 2^63,
+Python ints above) and their counts. Each stage merges the two shifted
+copies and sums the counts of equal times, and the map is capped at
+MAX_PROFILE_ENTRIES distinct times. Perturbation trials run every perturbed
+device through the same map step.
 """
 
 from __future__ import annotations
@@ -42,13 +45,15 @@ from .rational import RationalLike, fraction_str, to_fraction
 # before the map takes over; the map in turn is capped at this many distinct
 # arrival times.
 MAX_DENSE_SLOTS = 1 << 22
-MAX_PROFILE_ENTRIES = 1 << 21
+MAX_PROFILE_ENTRIES = 1 << 22
 
 # Perturbed cable lengths live on a grid of quantum_length / PERTURB_GRID so
 # trial classification is exact integer arithmetic end to end.
 PERTURB_GRID = 10**6
 
-MAX_PERTURB_PATHS = 1 << 22
+# One perturbation run tracks trials * 2^n arrivals in all. At the 60-130 ns
+# per arrival measured on a 2-vCPU VM, this cap is one to two minutes.
+MAX_PERTURB_ARRIVALS = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,28 +122,30 @@ def _propagate_dense(arcs: Sequence[tuple[int, int]], horizon: int) -> ArrivalPr
     return ArrivalProfile(stage_index=len(arcs), times=times, counts=cur[times])
 
 
-def _propagate_sparse(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
-    entries = {0: 1}
+def _propagate_map(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
+    # Times are int64 while the latest arrival, the sum of the longer arcs,
+    # is below 2^63; past that int64 sums would overflow, so they are Python ints.
+    top = sum(max(arc) for arc in arcs)
+    times = np.zeros(1, dtype=np.int64 if top < 2**63 else object)
+    counts = np.ones(1, dtype=_count_dtype(len(arcs)))
     for skip, take in arcs:
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for t, c in entries.items():
-            u = t + skip
-            nxt[u] = get(u, 0) + c
-            v = t + take
-            nxt[v] = get(v, 0) + c
-        if len(nxt) > MAX_PROFILE_ENTRIES:
+        # Two sorted runs, merged by a stable sort; equal times then sit
+        # side by side and reduceat sums each group's counts.
+        merged = np.concatenate((times + skip, times + take))
+        order = np.argsort(merged, kind="stable")
+        merged = merged[order]
+        counts = np.concatenate((counts, counts))[order]
+        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+        if len(starts) > MAX_PROFILE_ENTRIES:
             raise ResourceLimit(
                 f"profile grew past {MAX_PROFILE_ENTRIES} distinct arrival times"
             )
-        entries = nxt
-    times = sorted(entries)
-    # An explicit dtype: np.array([1, 2**63]) would silently become float64.
-    return ArrivalProfile(
-        stage_index=len(arcs),
-        times=np.array(times, dtype=np.int64 if times[-1] < 2**63 else object),
-        counts=np.array([entries[t] for t in times], dtype=_count_dtype(len(arcs))),
-    )
+        # Perturbed devices rarely coincide, and reduceat costs as much on
+        # groups of one, so it runs only when some times are equal.
+        if len(starts) < len(merged):
+            merged, counts = merged[starts], np.add.reduceat(counts, starts)
+        times = merged
+    return ArrivalProfile(stage_index=len(arcs), times=times, counts=counts)
 
 
 def propagate(layout: DeviceLayout) -> ArrivalProfile:
@@ -153,7 +160,7 @@ def propagate(layout: DeviceLayout) -> ArrivalProfile:
     horizon = sum(max(arc) for arc in arcs)
     if horizon + 1 <= MAX_DENSE_SLOTS:
         return _propagate_dense(arcs, horizon)
-    return _propagate_sparse(arcs)
+    return _propagate_map(arcs)
 
 
 def write_profile(profile: ArrivalProfile, fh: IO[str]) -> None:
@@ -220,6 +227,7 @@ class EpsilonDemoReport:
     oracle_verdict: Verdict
     epsilon_checked_moment: int
     offset_checked_moment: int
+    epsilon_profile: ArrivalProfile
 
     @property
     def epsilon_spurious(self) -> bool:
@@ -248,7 +256,8 @@ def epsilon_false_positive_demo(
 
     The epsilon device is read naively at the raw moment B, where a sum of
     the form subset + m*epsilon can masquerade as a hit; the offset device is
-    read at B + n*k. Both are compared against a classical oracle.
+    read at B + n*k. Both are compared against a classical oracle. The
+    report keeps the epsilon device's profile for a dump.
     """
     if params is None:
         params = PhysicalParams()
@@ -261,6 +270,7 @@ def epsilon_false_positive_demo(
         oracle_verdict=oracle.verdict,
         epsilon_checked_moment=instance.target,
         offset_checked_moment=offset_report.checked_moment,
+        epsilon_profile=eps_profile,
     )
 
 
@@ -295,13 +305,16 @@ def perturb_and_classify(
     """Cut every cable with a uniform length error and re-run the detection.
 
     Errors are drawn on a grid of quantum_length / 1e6 so arrival times stay
-    exact rationals; a nonzero max error finer than that grid is rejected
-    rather than silently read as zero. An arrival registers as the target moment when it lies
-    within half a delay quantum of it (times are only resolvable to the
-    quantum, so closer than half a quantum is indistinguishable from exact).
+    exact integers in grid units; a nonzero max error finer than that grid is
+    rejected rather than silently read as zero. An arrival registers as the
+    target moment when it lies within half a delay quantum of it (times are
+    only resolvable to the quantum, so closer than half a quantum is
+    indistinguishable from exact).
     Each trial's detection is classified against the oracle verdict.
-    Deterministic for a fixed seed. More than MAX_PERTURB_PATHS paths raise
-    ResourceLimit.
+    Deterministic for a fixed seed. Each trial runs the perturbed device
+    through the map step, so a perturbed profile is capped at
+    MAX_PROFILE_ENTRIES distinct times, and trials * 2^n over
+    MAX_PERTURB_ARRIVALS raises ResourceLimit before the first trial.
     """
     max_error = to_fraction(max_error_m)
     if max_error < 0:
@@ -309,8 +322,11 @@ def perturb_and_classify(
     if trials < 1:
         raise InvalidValue("trials must be >= 1")
     n = len(layout.stages)
-    if 2**n > MAX_PERTURB_PATHS:
-        raise ResourceLimit(f"perturbation trials enumerate 2^{n} paths, over the cap")
+    if trials * 2**n > MAX_PERTURB_ARRIVALS:
+        raise ResourceLimit(
+            f"{trials} trials of 2^{n} arrivals each exceed the cap of "
+            f"{MAX_PERTURB_ARRIVALS} arrivals"
+        )
 
     # Everything below is integer arithmetic in grid units of quantum/1e6.
     err_span = int(max_error * PERTURB_GRID / params.quantum_length_m)
@@ -345,10 +361,16 @@ def perturb_and_classify(
             hi += max(skip_e, take_e)
         max_err_g = max(max_err_g, abs(lo), abs(hi))
 
-        arrivals = [0]
-        for skip_g, take_g in arcs:
-            arrivals = [t + skip_g for t in arrivals] + [t + take_g for t in arrivals]
-        detected = any(abs(t - target_g) <= window_g for t in arrivals)
+        # The map step, not propagate: a dense array would span the whole
+        # horizon in grid units on every trial.
+        times = _propagate_map(arcs).times
+        # Any arrival in [target - window, target + window], with the bounds
+        # clamped to the occupied range so that they fit the times' dtype.
+        left = max(target_g - window_g, int(times[0]))
+        right = min(target_g + window_g, int(times[-1]))
+        detected = left <= right and bool(
+            np.searchsorted(times, left) < np.searchsorted(times, right, side="right")
+        )
 
         if detected != oracle_yes:
             misclassified += 1

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from lightsum import cli
+import lightsum as ls
+from lightsum import cli, sim
 
 
 def write_instance(tmp_path, doc, name="inst.json"):
@@ -168,6 +170,27 @@ def test_demo_epsilon_agreement_cases(doc, tmp_path, capsys):
     assert report["epsilon_verdict"] == report["oracle_verdict"] == "YES"
 
 
+def test_demo_epsilon_dump_propagates_each_layout_once(tmp_path, capsys, monkeypatch):
+    inst = ls.Instance.from_values([5, 9, 10, 11], 8)
+    expected = io.StringIO()
+    ls.write_profile(ls.propagate(ls.compile_epsilon_layout(inst, 1)), expected)
+    sim_propagate = sim.propagate
+    calls = []
+
+    def counting(layout):
+        calls.append(layout)
+        return sim_propagate(layout)
+
+    monkeypatch.setattr(sim, "propagate", counting)
+    monkeypatch.setattr(cli, "propagate", counting)
+    f = write_instance(tmp_path, {"set": [5, 9, 10, 11], "target": 8})
+    dump = tmp_path / "eps.txt"
+    code, report, _ = run(capsys, ["demo-epsilon", f, "--dump-profile", str(dump)])
+    assert code == 0
+    assert len(calls) == 2  # the epsilon layout and the offset layout
+    assert dump.read_text(encoding="utf-8") == expected.getvalue()
+
+
 def test_perturb_zero_error(tmp_path, capsys):
     f = write_instance(tmp_path, {"set": [2, 4], "target": 3})
     code, report, _ = run(capsys, ["perturb", f, "--max-error-m", "0", "--trials", "50"])
@@ -294,6 +317,17 @@ def test_perturb_error_finer_than_the_grid_is_an_input_error(tmp_path, capsys):
     assert code == 3
     assert report is None
     assert "grid" in err
+
+
+def test_perturb_trials_past_the_arrival_cap_are_a_resource_limit(tmp_path, capsys):
+    # 10^9 trials of 2^3 arrivals: rejected before the first trial runs
+    f = write_instance(tmp_path, {"set": [3, 5, 7], "target": 8})
+    code, report, err = run(capsys, [
+        "perturb", f, "--max-error-m", "0", "--trials", "1000000000",
+    ])
+    assert code == 4
+    assert report is None
+    assert "resource limit" in err
 
 
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import lightsum as ls
 from lightsum import sim
+from lightsum.rational import fraction_str
 
 from helpers import subset_sums
 
@@ -111,12 +112,19 @@ def test_wide_count_fields_decode_exactly():
     # 64 sit on the two sides of the switch from uint64 counts to Python ints
     import math
 
-    for n, dtype in ((63, np.uint64), (64, object)):
-        inst = ls.Instance.from_values([1] * n, 0)
-        profile = ls.propagate(ls.compile_layout(inst, P))
-        assert profile.counts.dtype == dtype
-        assert dict(profile.items()) == {n + j: math.comb(n, j) for j in range(n + 1)}
-        assert sum(profile.counts.tolist()) == 2**n
+    # both horizons fit the dense array; with no dense slots they run
+    # through the map, whose reduceat then sums uint64 and object counts
+    for dense_slots in (sim.MAX_DENSE_SLOTS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "MAX_DENSE_SLOTS", dense_slots)
+            for n, dtype in ((63, np.uint64), (64, object)):
+                inst = ls.Instance.from_values([1] * n, 0)
+                profile = ls.propagate(ls.compile_layout(inst, P))
+                assert profile.counts.dtype == dtype
+                assert dict(profile.items()) == {
+                    n + j: math.comb(n, j) for j in range(n + 1)
+                }
+                assert sum(profile.counts.tolist()) == 2**n
 
 
 def test_sparse_path_handles_values_too_long_to_pack():
@@ -317,9 +325,65 @@ def test_perturbation_rejects_lengths_that_can_go_non_positive():
 
 
 def test_perturbation_path_cap_is_read_when_called(monkeypatch):
-    monkeypatch.setattr(sim, "MAX_PERTURB_PATHS", 4)
+    # one trial of 2^3 arrivals is over a cap of 4
+    monkeypatch.setattr(sim, "MAX_PERTURB_ARRIVALS", 4)
     with pytest.raises(ls.ResourceLimit):
         perturb_values([1, 1, 1], 4, 0, 1, seed=0)
+
+
+def test_perturbed_profiles_share_the_map_entry_cap(monkeypatch):
+    # distinct values give 8 distinct perturbed arrival times, over a cap of 4
+    monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
+    with pytest.raises(ls.ResourceLimit):
+        perturb_values([1, 2, 4], 3, 0, 1, seed=0)
+
+
+T12 = 10**12
+
+# (misclassified, false_positives, false_negatives, max_arrival_error_s) of
+# 40 trials, keyed by (error in quanta, seed). The 10^12 values put grid times
+# past 2^63, so those trials run on Python-int times.
+PINNED_PERTURBATIONS = [
+    ([1, 1, 1], 4, {
+        ("0.1", 0): (0, 0, 0, "0.000000000000260796"),
+        ("0.1", 1): (0, 0, 0, "0.00000000000027364"),
+        ("0.4", 0): (8, 8, 0, "0.000000000001043176"),
+        ("0.4", 1): (4, 4, 0, "0.000000000001094566"),
+    }),
+    ([2, 4], 3, {
+        ("0.1", 0): (0, 0, 0, "0.000000000000179994"),
+        ("0.4", 0): (6, 6, 0, "0.000000000000719973"),
+        ("0.4", 1): (5, 5, 0, "0.000000000000749913"),
+    }),
+    ([1, 2, 3], 5, {
+        ("0.4", 0): (4, 0, 4, "0.000000000001043176"),
+        ("0.4", 1): (9, 0, 9, "0.000000000001094566"),
+    }),
+    ([3, 5, 7, 11, 13], 20, {
+        ("0.1", 1): (0, 0, 0, "0.000000000000440821"),
+        ("0.4", 0): (7, 0, 7, "0.00000000000156635"),
+        ("0.4", 1): (9, 0, 9, "0.000000000001763271"),
+    }),
+    ([3 * T12, 4 * T12, 5 * T12], 7 * T12, {
+        ("0.1", 0): (0, 0, 0, "0.000000000000260796"),
+        ("0.4", 0): (10, 0, 10, "0.000000000001043176"),
+        ("0.4", 1): (8, 0, 8, "0.000000000001094566"),
+    }),
+    ([3 * T12, 4 * T12, 5 * T12], 6 * T12, {
+        ("0.4", 0): (0, 0, 0, "0.000000000001043176"),
+        ("0.4", 1): (0, 0, 0, "0.000000000001094566"),
+    }),
+]
+
+
+@pytest.mark.parametrize("values,target,expected", PINNED_PERTURBATIONS)
+def test_perturbation_reports_are_pinned(values, target, expected):
+    for (quanta, seed), pinned in expected.items():
+        error = Fraction(quanta) * P.quantum_length_m
+        report = perturb_values(values, target, error, 40, seed)
+        got = (report.misclassified, report.false_positives, report.false_negatives,
+               fraction_str(report.max_arrival_error_s))
+        assert got == pinned, (values, target, quanta, seed)
 
 
 def test_perturbation_argument_validation():
