@@ -54,10 +54,12 @@ from .sim import (
     DetectionReport,
     EpsilonDemoReport,
     PerturbationReport,
+    SplitProfile,
     detect,
     epsilon_false_positive_demo,
     perturb_and_classify,
     propagate,
+    propagate_halves,
     write_profile,
 )
 

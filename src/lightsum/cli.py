@@ -29,6 +29,7 @@ from .model import (
     PhysicalParams,
     Verdict,
     cable_lengths,
+    compile_epsilon_layout,
     compile_layout,
     load_instance_file,
     normalize,
@@ -40,6 +41,7 @@ from .sim import (
     epsilon_false_positive_demo,
     perturb_and_classify,
     propagate,
+    propagate_halves,
     write_profile,
 )
 
@@ -161,14 +163,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     instance, params = timed("normalize", _load, args)
     layout = timed("compile", compile_layout, instance, params)
-    profile = timed("propagate", propagate, layout)
-    detection = timed("detect", detect, profile, instance, params)
+    halves = timed("propagate", propagate_halves, layout)
+    detection = timed("detect", detect, halves, instance, params)
     oracle: OracleResult = timed("oracle", ORACLES[args.oracle], instance)
     agreement = detection.verdict is oracle.verdict
 
     if args.dump_profile:
         with open(args.dump_profile, "w", encoding="utf-8") as fh:
-            write_profile(profile, fh)
+            write_profile(propagate(layout), fh)
 
     feasibility = None
     if args.max_cable_m is not None:
@@ -183,7 +185,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "timing": timing,
     })
     _vprint(args, f"n={instance.n} B={instance.target} k={params.offset_k_quanta} "
-                  f"profile_entries={len(profile)}")
+                  f"half_entries={len(halves.left)},{len(halves.right)}")
     _vprint(args, f"simulator={detection.verdict.value} oracle={oracle.verdict.value} "
                   f"({oracle.solver_name}) agreement={agreement}")
     if not agreement:
@@ -238,7 +240,7 @@ def cmd_demo_epsilon(args: argparse.Namespace) -> int:
     demo = epsilon_false_positive_demo(instance, args.epsilon, params)
     if args.dump_profile:
         with open(args.dump_profile, "w", encoding="utf-8") as fh:
-            write_profile(demo.epsilon_profile, fh)
+            write_profile(propagate(compile_epsilon_layout(instance, args.epsilon)), fh)
     _emit(demo.to_json_dict())
     _vprint(args, f"epsilon={demo.epsilon_verdict.value} offset={demo.offset_verdict.value} "
                   f"oracle={demo.oracle_verdict.value} spurious={demo.epsilon_spurious}")

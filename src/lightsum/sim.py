@@ -7,16 +7,25 @@ the two, so after n stages the histogram at the destination is exactly the
 multiset of subset sums shifted by the accumulated skip delays. The offset
 device and the epsilon device differ only in those two delays.
 
-Propagation runs on one dense count array of horizon + 1 slots while that
-fits MAX_DENSE_SLOTS; each stage writes the two shifted copies, summed, into
-a second buffer.
+A chain of stages propagates on one of two representations. While its
+horizon is at most DENSE_SLOTS_PER_PATH slots per path (2^stages paths) and
+fits MAX_DENSE_SLOTS, it runs on one dense count array of horizon + 1 slots;
+each stage writes the two shifted copies, summed, into a second buffer.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
 (object dtype) take over above. Longer horizons, such as values of 10^9,
 use the map: sorted arrays of the distinct arrival times (int64 below 2^63,
 Python ints above) and their counts. Each stage merges the two shifted
 copies and sums the counts of equal times, and the map is capped at
-MAX_PROFILE_ENTRIES distinct times. Perturbation trials run every perturbed
-device through the same map step.
+MAX_PROFILE_ENTRIES distinct times.
+
+The detector reads one moment, so detection never builds the whole profile.
+It cuts the chain at its middle node and propagates the first n // 2 stages
+and the rest on their own (a SplitProfile). A ray crosses both halves, so
+the rays arriving at M number sum_t left(t) * right(M - t): one searchsorted
+of M - t into the right half's times finds the pairs. Each half holds at most
+2^ceil(n/2) arrival times, and the caps apply per half. The solver, the
+epsilon demonstration and every perturbation trial read their moments this
+way; the whole profile (`propagate`) is built only to be dumped.
 """
 
 from __future__ import annotations
@@ -47,13 +56,22 @@ from .rational import RationalLike, fraction_str, to_fraction
 MAX_DENSE_SLOTS = 1 << 22
 MAX_PROFILE_ENTRIES = 1 << 22
 
+# A dense stage costs about one slot of work per horizon slot, a map stage
+# tens of times that per distinct time; past about 4 slots per path the map
+# was the faster one on a 2-vCPU VM for chains of 13 stages and more.
+DENSE_SLOTS_PER_PATH = 4
+
 # Perturbed cable lengths live on a grid of quantum_length / PERTURB_GRID so
 # trial classification is exact integer arithmetic end to end.
 PERTURB_GRID = 10**6
 
-# One perturbation run tracks trials * 2^n arrivals in all. At the 60-130 ns
-# per arrival measured on a 2-vCPU VM, this cap is one to two minutes.
+# One perturbation trial propagates two halves of at most 2^ceil(n/2)
+# arrivals each, plus a fixed cost (drawing 2n errors, a few numpy calls per
+# stage) that cost as much as about 2^12 arrivals on a 2-vCPU VM. A run is
+# capped at trials * (2^ceil(n/2) + 2^12) arrivals, which took at most about
+# four minutes there at every n measured, 0 to 36.
 MAX_PERTURB_ARRIVALS = 1 << 30
+PERTURB_TRIAL_ARRIVALS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,18 +152,81 @@ def _propagate_map(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
         merged = np.concatenate((times + skip, times + take))
         order = np.argsort(merged, kind="stable")
         merged = merged[order]
-        counts = np.concatenate((counts, counts))[order]
         starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+        # Checked before the counts are gathered, so a rejected stage
+        # allocates no count arrays.
         if len(starts) > MAX_PROFILE_ENTRIES:
             raise ResourceLimit(
                 f"profile grew past {MAX_PROFILE_ENTRIES} distinct arrival times"
             )
+        counts = np.concatenate((counts, counts))[order]
         # Perturbed devices rarely coincide, and reduceat costs as much on
         # groups of one, so it runs only when some times are equal.
         if len(starts) < len(merged):
             merged, counts = merged[starts], np.add.reduceat(counts, starts)
         times = merged
     return ArrivalProfile(stage_index=len(arcs), times=times, counts=counts)
+
+
+def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
+    # Dense while the horizon is short next to the 2^stages paths, else the map.
+    horizon = sum(max(arc) for arc in arcs)
+    if horizon + 1 <= min(MAX_DENSE_SLOTS, DENSE_SLOTS_PER_PATH << len(arcs)):
+        return _propagate_dense(arcs, horizon)
+    return _propagate_map(arcs)
+
+
+@dataclass(frozen=True, eq=False)
+class SplitProfile:
+    """A device cut at its middle node: the profiles of its two halves.
+
+    `left` went through the first n // 2 stages and `right` through the
+    rest. Every ray crosses both, so the rays arriving at moment M number
+    sum_t left(t) * right(M - t); a moment is read from the halves without
+    building the whole profile.
+    """
+
+    left: ArrivalProfile
+    right: ArrivalProfile
+
+    @property
+    def stage_index(self) -> int:
+        return self.left.stage_index + self.right.stage_index
+
+    def _left_times(self, lo: int, hi: int) -> np.ndarray:
+        """The left arrival times t, in a dtype that holds lo - t and hi - t."""
+        # Both lie in [lo - max(t), hi]; past int64 they are Python ints.
+        if -(2**63) <= lo - self.left.max_time and hi < 2**63:
+            return self.left.times
+        return self.left.times.astype(object)
+
+    def count_at(self, time: int) -> int:
+        """Rays arriving exactly at `time`, summed over the pairs that meet there."""
+        keys = time - self._left_times(time, time)
+        right = self.right.times
+        i = np.minimum(np.searchsorted(right, keys), len(right) - 1)
+        hit = right[i] == keys
+        # Each half's counts fit its own dtype, a product of two may not:
+        # multiply in the dtype of the whole device.
+        dtype = _count_dtype(self.stage_index)
+        pairs = self.left.counts[hit].astype(dtype) * self.right.counts[i[hit]].astype(dtype)
+        return int(pairs.sum())
+
+    def any_within(self, lo: int, hi: int) -> bool:
+        """Whether any ray arrives in [lo, hi]."""
+        left = self._left_times(lo, hi)
+        start = np.searchsorted(self.right.times, lo - left)
+        stop = np.searchsorted(self.right.times, hi - left, side="right")
+        return bool((start < stop).any())
+
+
+def _arcs(layout: DeviceLayout) -> list[tuple[int, int]]:
+    return [(s.skip_delay, s.take_delay) for s in layout.stages]
+
+
+def _split(arcs: Sequence[tuple[int, int]]) -> SplitProfile:
+    half = len(arcs) // 2
+    return SplitProfile(left=_propagate_chain(arcs[:half]), right=_propagate_chain(arcs[half:]))
 
 
 def propagate(layout: DeviceLayout) -> ArrivalProfile:
@@ -156,11 +237,16 @@ def propagate(layout: DeviceLayout) -> ArrivalProfile:
     (the empty subset) arrives at n*k and the latest (the full set) at
     sum(a_i) + n*k.
     """
-    arcs = [(s.skip_delay, s.take_delay) for s in layout.stages]
-    horizon = sum(max(arc) for arc in arcs)
-    if horizon + 1 <= MAX_DENSE_SLOTS:
-        return _propagate_dense(arcs, horizon)
-    return _propagate_map(arcs)
+    return _propagate_chain(_arcs(layout))
+
+
+def propagate_halves(layout: DeviceLayout) -> SplitProfile:
+    """The profiles of the device's two halves, enough to read any moment.
+
+    Each half holds at most 2^ceil(n/2) arrival times, so the map cap
+    MAX_PROFILE_ENTRIES bounds each half rather than the whole device.
+    """
+    return _split(_arcs(layout))
 
 
 def write_profile(profile: ArrivalProfile, fh: IO[str]) -> None:
@@ -192,13 +278,13 @@ class DetectionReport:
 
 
 def detect(
-    profile: ArrivalProfile, instance: Instance, params: PhysicalParams
+    profile: ArrivalProfile | SplitProfile, instance: Instance, params: PhysicalParams
 ) -> DetectionReport:
     """Apply the detection rule: YES iff a ray arrives at moment B + n*k.
 
-    The profile must come from a layout built with the same offset k as
-    `params`. Every ray crosses n splitters, so per-ray power is the uniform
-    source * (transmission/2)^n; coincident rays add their power.
+    The profile, whole or split, must come from a layout built with the same
+    offset k as `params`. Every ray crosses n splitters, so per-ray power is
+    the uniform source * (transmission/2)^n; coincident rays add their power.
     """
     if profile.stage_index != instance.n:
         raise StageMismatch(
@@ -227,7 +313,6 @@ class EpsilonDemoReport:
     oracle_verdict: Verdict
     epsilon_checked_moment: int
     offset_checked_moment: int
-    epsilon_profile: ArrivalProfile
 
     @property
     def epsilon_spurious(self) -> bool:
@@ -256,21 +341,19 @@ def epsilon_false_positive_demo(
 
     The epsilon device is read naively at the raw moment B, where a sum of
     the form subset + m*epsilon can masquerade as a hit; the offset device is
-    read at B + n*k. Both are compared against a classical oracle. The
-    report keeps the epsilon device's profile for a dump.
+    read at B + n*k. Both are compared against a classical oracle.
     """
     if params is None:
         params = PhysicalParams()
-    eps_profile = propagate(compile_epsilon_layout(instance, epsilon))
-    offset_report = detect(propagate(compile_layout(instance, params)), instance, params)
+    eps_halves = propagate_halves(compile_epsilon_layout(instance, epsilon))
+    offset_report = detect(propagate_halves(compile_layout(instance, params)), instance, params)
     oracle = solve_auto(instance)
     return EpsilonDemoReport(
-        epsilon_verdict=Verdict.from_bool(eps_profile.count_at(instance.target) >= 1),
+        epsilon_verdict=Verdict.from_bool(eps_halves.count_at(instance.target) >= 1),
         offset_verdict=offset_report.verdict,
         oracle_verdict=oracle.verdict,
         epsilon_checked_moment=instance.target,
         offset_checked_moment=offset_report.checked_moment,
-        epsilon_profile=eps_profile,
     )
 
 
@@ -311,9 +394,9 @@ def perturb_and_classify(
     only resolvable to the quantum, so closer than half a quantum is
     indistinguishable from exact).
     Each trial's detection is classified against the oracle verdict.
-    Deterministic for a fixed seed. Each trial runs the perturbed device
-    through the map step, so a perturbed profile is capped at
-    MAX_PROFILE_ENTRIES distinct times, and trials * 2^n over
+    Deterministic for a fixed seed. Each trial propagates the two halves of
+    the perturbed device, so each half is capped at MAX_PROFILE_ENTRIES
+    distinct times, and trials * (2^ceil(n/2) + PERTURB_TRIAL_ARRIVALS) over
     MAX_PERTURB_ARRIVALS raises ResourceLimit before the first trial.
     """
     max_error = to_fraction(max_error_m)
@@ -322,10 +405,11 @@ def perturb_and_classify(
     if trials < 1:
         raise InvalidValue("trials must be >= 1")
     n = len(layout.stages)
-    if trials * 2**n > MAX_PERTURB_ARRIVALS:
+    half = (n + 1) // 2
+    if trials * (2**half + PERTURB_TRIAL_ARRIVALS) > MAX_PERTURB_ARRIVALS:
         raise ResourceLimit(
-            f"{trials} trials of 2^{n} arrivals each exceed the cap of "
-            f"{MAX_PERTURB_ARRIVALS} arrivals"
+            f"{trials} trials of 2^{half} arrivals per half, plus {PERTURB_TRIAL_ARRIVALS} "
+            f"per trial, exceed the cap of {MAX_PERTURB_ARRIVALS} arrivals"
         )
 
     # Everything below is integer arithmetic in grid units of quantum/1e6.
@@ -361,16 +445,7 @@ def perturb_and_classify(
             hi += max(skip_e, take_e)
         max_err_g = max(max_err_g, abs(lo), abs(hi))
 
-        # The map step, not propagate: a dense array would span the whole
-        # horizon in grid units on every trial.
-        times = _propagate_map(arcs).times
-        # Any arrival in [target - window, target + window], with the bounds
-        # clamped to the occupied range so that they fit the times' dtype.
-        left = max(target_g - window_g, int(times[0]))
-        right = min(target_g + window_g, int(times[-1]))
-        detected = left <= right and bool(
-            np.searchsorted(times, left) < np.searchsorted(times, right, side="right")
-        )
+        detected = _split(arcs).any_within(target_g - window_g, target_g + window_g)
 
         if detected != oracle_yes:
             misclassified += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -172,22 +173,32 @@ def test_demo_epsilon_agreement_cases(doc, tmp_path, capsys):
 
 def test_demo_epsilon_dump_propagates_each_layout_once(tmp_path, capsys, monkeypatch):
     inst = ls.Instance.from_values([5, 9, 10, 11], 8)
+    eps_layout = ls.compile_epsilon_layout(inst, 1)
     expected = io.StringIO()
-    ls.write_profile(ls.propagate(ls.compile_epsilon_layout(inst, 1)), expected)
-    sim_propagate = sim.propagate
-    calls = []
+    ls.write_profile(ls.propagate(eps_layout), expected)
+    calls = {"propagate": [], "propagate_halves": []}
 
-    def counting(layout):
-        calls.append(layout)
-        return sim_propagate(layout)
+    def counting(name):
+        fn = getattr(sim, name)
 
-    monkeypatch.setattr(sim, "propagate", counting)
-    monkeypatch.setattr(cli, "propagate", counting)
+        def wrapper(layout):
+            calls[name].append(layout)
+            return fn(layout)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name)
+        monkeypatch.setattr(sim, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
     f = write_instance(tmp_path, {"set": [5, 9, 10, 11], "target": 8})
     dump = tmp_path / "eps.txt"
     code, report, _ = run(capsys, ["demo-epsilon", f, "--dump-profile", str(dump)])
     assert code == 0
-    assert len(calls) == 2  # the epsilon layout and the offset layout
+    # both verdicts read the halves of their layout; only the dump builds
+    # a whole profile
+    assert calls["propagate"] == [eps_layout]
+    assert len(calls["propagate_halves"]) == 2
     assert dump.read_text(encoding="utf-8") == expected.getvalue()
 
 
@@ -339,3 +350,19 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
     code, _, err = run(capsys, ["solve", f])
     assert code == cli.EXIT_INTERNAL_ERROR == 5
     assert "Traceback" in err and "RuntimeError: injected" in err
+
+
+def test_solve_reads_wide_values_from_the_halves(tmp_path, capsys):
+    # n = 30 values to 1e9: the whole profile would pass the map cap, each
+    # half holds 2^15 arrival times
+    rng = random.Random(30)
+    values = [rng.randint(1, 10**9) for _ in range(30)]
+    codes = []
+    for target in (sum(values[::3]), 2 * sum(values) // 3 + 1):
+        f = write_instance(tmp_path, {"set": values, "target": target})
+        code, report, _ = run(capsys, ["solve", f, "--oracle", "mitm"])
+        assert report["agreement"] is True
+        assert report["oracle"]["solver_name"] == "mitm"
+        assert code == {"YES": 0, "NO": 1}[report["simulator"]["verdict"]]
+        codes.append(code)
+    assert codes[0] == 0  # a planted subset

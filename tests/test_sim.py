@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -110,8 +112,6 @@ def test_dense_and_map_paths_match_subset_sums(values, delay, epsilon):
 def test_wide_count_fields_decode_exactly():
     # n identical unit values: counts are binomial coefficients; n = 63 and
     # 64 sit on the two sides of the switch from uint64 counts to Python ints
-    import math
-
     # both horizons fit the dense array; with no dense slots they run
     # through the map, whose reduceat then sums uint64 and object counts
     for dense_slots in (sim.MAX_DENSE_SLOTS, 0):
@@ -135,6 +135,39 @@ def test_sparse_path_handles_values_too_long_to_pack():
         assert dict(profile.items()) == {2: 1, a + 2: 2, 2 * a + 2: 1}
         assert profile.count_at(a + 2) == 2
         assert profile.count_at(a + 1) == 0
+
+
+@pytest.mark.parametrize("epsilon", [False, True], ids=["offset", "epsilon"])
+@pytest.mark.parametrize("dense_slots", [sim.MAX_DENSE_SLOTS, 0], ids=["dense", "map"])
+def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, dense_slots, monkeypatch):
+    # n = 0..9 cuts the chain into halves of equal and of unequal length
+    monkeypatch.setattr(sim, "MAX_DENSE_SLOTS", dense_slots)
+    rng = random.Random(5)
+    for n in range(10):
+        for _ in range(3):
+            inst = ls.Instance.from_values([rng.randint(1, 12) for _ in range(n)], 0)
+            if epsilon:
+                layout = ls.compile_epsilon_layout(inst, rng.randint(1, 3))
+            else:
+                layout = ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=rng.randint(1, 3)))
+            split, whole = ls.propagate_halves(layout), ls.propagate(layout)
+            assert (split.left.stage_index, split.right.stage_index) == (n // 2, n - n // 2)
+            horizon = sum(s.take_delay for s in layout.stages)
+            for t in range(horizon + 2):
+                assert split.count_at(t) == whole.count_at(t), (layout, t)
+            for lo in range(-2, horizon + 2, 3):
+                hi = lo + rng.randint(0, 2)
+                expected = any(whole.count_at(t) for t in range(lo, hi + 1))
+                assert split.any_within(lo, hi) == expected, (layout, lo, hi)
+
+
+def test_split_count_multiplies_in_the_width_of_the_whole_device():
+    # each half of 34 unit stages counts in uint64; their product-sum at the
+    # middle moment, C(68, 34), does not fit uint64
+    inst = ls.Instance.from_values([1] * 68, 34)
+    report = ls.detect(ls.propagate_halves(ls.compile_layout(inst, P)), inst, P)
+    assert report.ray_count_at_moment == math.comb(68, 34)
+    assert report.ray_count_at_moment > 2**64
 
 
 def test_sparse_path_entry_cap(monkeypatch):
@@ -325,17 +358,26 @@ def test_perturbation_rejects_lengths_that_can_go_non_positive():
 
 
 def test_perturbation_path_cap_is_read_when_called(monkeypatch):
-    # one trial of 2^3 arrivals is over a cap of 4
-    monkeypatch.setattr(sim, "MAX_PERTURB_ARRIVALS", 4)
+    # one trial of 5 stages has a half of 2^3 arrivals, one more than the
+    # cap leaves beside the fixed charge per trial
+    monkeypatch.setattr(sim, "MAX_PERTURB_ARRIVALS", sim.PERTURB_TRIAL_ARRIVALS + 4)
     with pytest.raises(ls.ResourceLimit):
-        perturb_values([1, 1, 1], 4, 0, 1, seed=0)
+        perturb_values([1, 1, 1, 1, 1], 4, 0, 1, seed=0)
+
+
+def test_perturbation_cap_charges_each_trial_a_fixed_cost():
+    # a million trials of one stage hold 2 arrivals each, but each trial
+    # costs tens of microseconds whatever its size
+    with pytest.raises(ls.ResourceLimit):
+        perturb_values([1], 1, 0, 10**6, seed=0)
 
 
 def test_perturbed_profiles_share_the_map_entry_cap(monkeypatch):
-    # distinct values give 8 distinct perturbed arrival times, over a cap of 4
+    # distinct values give each half of 3 stages 8 distinct perturbed
+    # arrival times, over a cap of 4
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
     with pytest.raises(ls.ResourceLimit):
-        perturb_values([1, 2, 4], 3, 0, 1, seed=0)
+        perturb_values([1, 2, 4, 8, 16, 32], 3, 0, 1, seed=0)
 
 
 T12 = 10**12
@@ -384,6 +426,23 @@ def test_perturbation_reports_are_pinned(values, target, expected):
         got = (report.misclassified, report.false_positives, report.false_negatives,
                fraction_str(report.max_arrival_error_s))
         assert got == pinned, (values, target, quanta, seed)
+
+
+def test_split_reads_moments_past_int64_with_int64_halves():
+    # four values of 3e12 quanta: each half ends below 2^63 in grid units,
+    # the checked moment (1.2e19) above it; the figures were recorded from
+    # the whole-profile map
+    pinned = {
+        ("0.1", 0): (0, 0, 0, "0.000000000000314078"),
+        ("0.4", 0): (11, 0, 11, "0.000000000001256304"),
+        ("0.4", 1): (5, 0, 5, "0.000000000001322474"),
+    }
+    for (quanta, seed), expected in pinned.items():
+        error = Fraction(quanta) * P.quantum_length_m
+        report = perturb_values([3 * T12] * 4, 12 * T12, error, 40, seed)
+        got = (report.misclassified, report.false_positives, report.false_negatives,
+               fraction_str(report.max_arrival_error_s))
+        assert got == expected, (quanta, seed)
 
 
 def test_perturbation_argument_validation():
