@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InvalidValue, Overflow
-from .model import DEFAULT_VALUE_CEILING, Instance, PhysicalParams
+from .model import MAX_DELAY_QUANTA, Instance, PhysicalParams
 from .rational import RationalLike, fraction_str, to_fraction
 
 
@@ -21,17 +21,16 @@ def max_encodable(max_cable_length_m: RationalLike, params: PhysicalParams) -> i
     """Largest delay (in quanta) a single cable of the given length can encode.
 
     floor(length / quantum_length); 3 km at the default 0.0003 m quantum
-    gives 10^7, 300 km gives 10^9. A cable that would encode more than the
-    value ceiling, which no normalized instance can exceed, raises Overflow.
+    gives 10^7, 300 km gives 10^9. A cable of MAX_DELAY_QUANTA quanta or
+    more, a delay no instance or device may reach, raises Overflow.
     """
     length = to_fraction(max_cable_length_m)
     if length <= 0:
         raise InvalidValue("cable length must be positive")
-    if length > DEFAULT_VALUE_CEILING * params.quantum_length_m:
-        raise Overflow(
-            f"the cable encodes more than the ceiling of {DEFAULT_VALUE_CEILING} quanta"
-        )
-    return length // params.quantum_length_m
+    quanta = length // params.quantum_length_m
+    if quanta >= MAX_DELAY_QUANTA:
+        raise Overflow(f"the cable encodes {MAX_DELAY_QUANTA} quanta or more")
+    return quanta
 
 
 def per_ray_power(n: int, params: PhysicalParams) -> Fraction:

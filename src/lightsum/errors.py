@@ -14,9 +14,10 @@ class InvalidValue(LightsumError):
 
 
 class Overflow(LightsumError):
-    """A number is past a fixed ceiling: a decimal exponent beyond
-    rational.MAX_DECIMAL_EXPONENT, or a normalized value or encodable cable
-    beyond model.DEFAULT_VALUE_CEILING."""
+    """A number is past a fixed bound: a decimal exponent beyond
+    rational.MAX_DECIMAL_EXPONENT, or a delay that reaches
+    model.MAX_DELAY_QUANTA = 2^62 quanta (the sum of an instance's values,
+    its target, a layout's longest path, or the cable of max_encodable)."""
 
 
 class StageMismatch(LightsumError):

@@ -24,9 +24,11 @@ from typing import Iterable
 from .errors import InvalidValue, Overflow, ParseError
 from .rational import parse_decimal, to_fraction
 
-# Normalized values and targets above this are rejected, and analysis refuses
-# cables that would encode more quanta than this.
-DEFAULT_VALUE_CEILING = 10**18
+# Every delay the device or an oracle computes is below this many quanta, so
+# times and sums are exact in int64 and a checked moment B + n*k, the sum of
+# two of them, stays below 2^63. It is 1.4e15 m of fiber at the default
+# quantum; the paper's 300 km cable encodes 10^9.
+MAX_DELAY_QUANTA = 2**62
 
 
 class Verdict(str, Enum):
@@ -86,7 +88,8 @@ class RawInstance:
 @dataclass(frozen=True)
 class Instance:
     """A normalized instance: positive integer values, integer target, and the
-    exact power-of-ten factor that maps the raw numbers onto these integers."""
+    exact power-of-ten factor that maps the raw numbers onto these integers.
+    The sum of the values and the target are below MAX_DELAY_QUANTA."""
 
     values: tuple[int, ...]
     target: int
@@ -98,6 +101,11 @@ class Instance:
                 raise InvalidValue(f"normalized values must be integers >= 1, got {v!r}")
         if not isinstance(self.target, int) or self.target < 0:
             raise InvalidValue(f"normalized target must be an integer >= 0, got {self.target!r}")
+        # The message names the bound only: the sum may have too many digits to print.
+        if self.total >= MAX_DELAY_QUANTA or self.target >= MAX_DELAY_QUANTA:
+            raise Overflow(
+                f"the sum of the values or the target reaches {MAX_DELAY_QUANTA} quanta"
+            )
 
     @classmethod
     def from_values(cls, values: Iterable[int], target: int) -> "Instance":
@@ -123,21 +131,21 @@ def normalize(raw: RawInstance) -> Instance:
     (scale 1000); {100, 2000} / 2100 becomes {1, 20} / 21 (scale 1/100).
 
     The same factor is applied to values and target; scaling them differently
-    would change the answer. Results above DEFAULT_VALUE_CEILING raise Overflow.
+    would change the answer. A sum of values or a target that reaches
+    MAX_DELAY_QUANTA raises Overflow.
     """
-    ceiling = DEFAULT_VALUE_CEILING
     decimals = list(raw.values)
     target_dec = raw.target
     exponents = [e for e in map(_least_digit_exponent, decimals + [target_dec]) if e is not None]
     scale_exp = -min(exponents) if exponents else 0
-    # A number normalizes to at least 10^(adjusted + scale_exp), which is over
-    # the ceiling once that exponent reaches ceiling.bit_length(); reject it
-    # before any such power of ten is built.
+    # A number normalizes to at least 10^(adjusted + scale_exp), which is past
+    # the bound once that exponent reaches its bit length; reject it before
+    # any such power of ten is built (a long fraction makes scale_exp huge).
     for d in decimals + [target_dec]:
-        if d and d.adjusted() + scale_exp >= ceiling.bit_length():
+        if d and d.adjusted() + scale_exp >= MAX_DELAY_QUANTA.bit_length():
             raise Overflow(
                 f"{d} normalizes to at least 10^{d.adjusted() + scale_exp}, "
-                f"over the ceiling of {ceiling}"
+                f"past the bound of {MAX_DELAY_QUANTA} quanta"
             )
     scale = Fraction(10) ** scale_exp
 
@@ -145,10 +153,6 @@ def normalize(raw: RawInstance) -> Instance:
         q = Fraction(d) * scale
         if q.denominator != 1:
             raise RuntimeError(f"{d} is not integral at scale 10^{scale_exp}")
-        if q.numerator > ceiling:
-            raise Overflow(
-                f"normalized value {q.numerator} exceeds the ceiling of {ceiling}"
-            )
         return q.numerator
 
     return Instance(
@@ -225,6 +229,7 @@ class DeviceLayout:
     The offset device has skip delay k and take delay a_i + k, so every
     start-to-destination path accumulates the constant n*k on top of its
     subset sum. The epsilon device has skip delay epsilon and take delay a_i.
+    The longest path, the sum of the longer arcs, is below MAX_DELAY_QUANTA.
     """
 
     stages: tuple[Stage, ...]
@@ -235,6 +240,10 @@ class DeviceLayout:
                 raise InvalidValue(f"stage value must be >= 1, got {s.value}")
             if s.skip_delay < 1 or s.take_delay < 1:
                 raise InvalidValue(f"stage {s} has an arc shorter than one quantum")
+        if sum(max(s.skip_delay, s.take_delay) for s in self.stages) >= MAX_DELAY_QUANTA:
+            raise Overflow(
+                f"the longest path through the device reaches {MAX_DELAY_QUANTA} quanta"
+            )
 
     @property
     def node_count(self) -> int:

@@ -21,9 +21,6 @@ BRUTE_FORCE_MAX_N = 25
 MITM_MAX_N = 50
 DP_MAX_TABLE_BITS = 10**8
 
-# Doubling enumeration stays on int64; larger sums fall back to Python ints.
-_INT64_SAFE_SUM = 2**62
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -45,7 +42,9 @@ def solve_dp(instance: Instance, want_witness: bool = False) -> OracleResult:
     """Reachability DP over sums 0..B, one bit per sum.
 
     The table is a single big integer; witness extraction keeps one snapshot
-    per element and backtracks, so it multiplies the memory bound by n.
+    per element and backtracks, so it multiplies the memory bound by n. A
+    value above B is in no subset that sums to B, so it leaves the table as
+    it is (shifting by it would build an integer of about that many bits).
     """
     b = instance.target
     rows = instance.n + 1 if want_witness else 1
@@ -57,7 +56,8 @@ def solve_dp(instance: Instance, want_witness: bool = False) -> OracleResult:
     reach = 1
     snapshots = [reach]
     for a in instance.values:
-        reach = (reach | (reach << a)) & mask
+        if a <= b:
+            reach = (reach | (reach << a)) & mask
         if want_witness:
             snapshots.append(reach)
     yes = bool((reach >> b) & 1)
@@ -76,17 +76,13 @@ def solve_dp(instance: Instance, want_witness: bool = False) -> OracleResult:
     return OracleResult(Verdict.from_bool(yes), witness, "dp")
 
 
-def _all_subset_sums(values: tuple[int, ...]) -> np.ndarray | list[int]:
-    """All 2^n subset sums by doubling, as int64 when they safely fit."""
-    if sum(values) < _INT64_SAFE_SUM:
-        arr = np.zeros(1, dtype=np.int64)
-        for a in values:
-            arr = np.concatenate((arr, arr + a))
-        return arr
-    sums = [0]
+def _all_subset_sums(values: tuple[int, ...]) -> np.ndarray:
+    """All 2^n subset sums by doubling, as int64: an Instance keeps the sum
+    of its values below model.MAX_DELAY_QUANTA = 2^62."""
+    arr = np.zeros(1, dtype=np.int64)
     for a in values:
-        sums += [s + a for s in sums]
-    return sums
+        arr = np.concatenate((arr, arr + a))
+    return arr
 
 
 def solve_bruteforce(instance: Instance) -> OracleResult:
@@ -95,13 +91,7 @@ def solve_bruteforce(instance: Instance) -> OracleResult:
         raise ResourceLimit(
             f"brute force is capped at n <= {BRUTE_FORCE_MAX_N}, got {instance.n}"
         )
-    sums = _all_subset_sums(instance.values)
-    if isinstance(sums, np.ndarray):
-        yes = instance.target <= instance.total and bool(
-            np.any(sums == np.int64(instance.target))
-        )
-    else:
-        yes = instance.target in sums
+    yes = bool(np.any(_all_subset_sums(instance.values) == instance.target))
     return OracleResult(Verdict.from_bool(yes), None, "bruteforce")
 
 
@@ -114,13 +104,8 @@ def solve_mitm(instance: Instance) -> OracleResult:
     half = instance.n // 2
     left = _all_subset_sums(instance.values[:half])
     right = _all_subset_sums(instance.values[half:])
-    b = instance.target
-    if isinstance(left, np.ndarray) and isinstance(right, np.ndarray) and b < _INT64_SAFE_SUM:
-        yes = bool(np.isin(np.int64(b) - left, right).any())
-    else:
-        right_set = set(right.tolist() if isinstance(right, np.ndarray) else right)
-        left_list = left.tolist() if isinstance(left, np.ndarray) else left
-        yes = any(b - s in right_set for s in left_list)
+    # The target is below 2^62 too, so target - left is exact in int64.
+    yes = bool(np.isin(instance.target - left, right).any())
     return OracleResult(Verdict.from_bool(yes), None, "mitm")
 
 

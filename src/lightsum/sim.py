@@ -13,19 +13,21 @@ fits MAX_DENSE_SLOTS, it runs on one dense count array of horizon + 1 slots;
 each stage writes the two shifted copies, summed, into a second buffer.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
 (object dtype) take over above. Longer horizons, such as values of 10^9,
-use the map: sorted arrays of the distinct arrival times (int64 below 2^63,
-Python ints above) and their counts. Each stage merges the two shifted
-copies and sums the counts of equal times, and the map is capped at
-MAX_PROFILE_ENTRIES distinct times.
+use the map: sorted arrays of the distinct arrival times and their counts.
+Each stage merges the two shifted copies and sums the counts of equal times,
+and the map is capped at MAX_PROFILE_ENTRIES distinct times. Times are
+always int64: a layout's longest path is below model.MAX_DELAY_QUANTA = 2^62,
+and a perturbed device is checked against the same bound in grid units.
 
 The detector reads one moment, so detection never builds the whole profile.
 It cuts the chain at its middle node and propagates the first n // 2 stages
 and the rest on their own (a SplitProfile). A ray crosses both halves, so
 the rays arriving at M number sum_t left(t) * right(M - t): one searchsorted
-of M - t into the right half's times finds the pairs. Each half holds at most
-2^ceil(n/2) arrival times, and the caps apply per half. The solver, the
-epsilon demonstration and every perturbation trial read their moments this
-way; the whole profile (`propagate`) is built only to be dumped.
+of M - t into the right half's times finds the pairs. M = B + n*k is below
+2^63, since B and n*k are each below 2^62, so M - t is exact in int64. Each
+half holds at most 2^ceil(n/2) arrival times, and the caps apply per half.
+The solver, the epsilon demonstration and every perturbation trial read their
+moments this way; the whole profile (`propagate`) is built only to be dumped.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 from .analysis import per_ray_power
 from .errors import InvalidPerturbation, InvalidValue, ResourceLimit, StageMismatch
 from .model import (
+    MAX_DELAY_QUANTA,
     DeviceLayout,
     Instance,
     PhysicalParams,
@@ -78,8 +81,8 @@ PERTURB_TRIAL_ARRIVALS = 1 << 12
 class ArrivalProfile:
     """Arrival moments at a node: sorted times (quanta) with positive ray counts.
 
-    Both arrays are int64/uint64 where the values fit and object (Python
-    ints) where they may not.
+    Times are int64; counts are uint64 up to 63 stages and object (Python
+    ints) above.
     """
 
     stage_index: int
@@ -141,10 +144,7 @@ def _propagate_dense(arcs: Sequence[tuple[int, int]], horizon: int) -> ArrivalPr
 
 
 def _propagate_map(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
-    # Times are int64 while the latest arrival, the sum of the longer arcs,
-    # is below 2^63; past that int64 sums would overflow, so they are Python ints.
-    top = sum(max(arc) for arc in arcs)
-    times = np.zeros(1, dtype=np.int64 if top < 2**63 else object)
+    times = np.zeros(1, dtype=np.int64)
     counts = np.ones(1, dtype=_count_dtype(len(arcs)))
     for skip, take in arcs:
         # Two sorted runs, merged by a stable sort; equal times then sit
@@ -193,16 +193,9 @@ class SplitProfile:
     def stage_index(self) -> int:
         return self.left.stage_index + self.right.stage_index
 
-    def _left_times(self, lo: int, hi: int) -> np.ndarray:
-        """The left arrival times t, in a dtype that holds lo - t and hi - t."""
-        # Both lie in [lo - max(t), hi]; past int64 they are Python ints.
-        if -(2**63) <= lo - self.left.max_time and hi < 2**63:
-            return self.left.times
-        return self.left.times.astype(object)
-
     def count_at(self, time: int) -> int:
         """Rays arriving exactly at `time`, summed over the pairs that meet there."""
-        keys = time - self._left_times(time, time)
+        keys = time - self.left.times
         right = self.right.times
         i = np.minimum(np.searchsorted(right, keys), len(right) - 1)
         hit = right[i] == keys
@@ -214,9 +207,8 @@ class SplitProfile:
 
     def any_within(self, lo: int, hi: int) -> bool:
         """Whether any ray arrives in [lo, hi]."""
-        left = self._left_times(lo, hi)
-        start = np.searchsorted(self.right.times, lo - left)
-        stop = np.searchsorted(self.right.times, hi - left, side="right")
+        start = np.searchsorted(self.right.times, lo - self.left.times)
+        stop = np.searchsorted(self.right.times, hi - self.left.times, side="right")
         return bool((start < stop).any())
 
 
@@ -397,7 +389,9 @@ def perturb_and_classify(
     Deterministic for a fixed seed. Each trial propagates the two halves of
     the perturbed device, so each half is capped at MAX_PROFILE_ENTRIES
     distinct times, and trials * (2^ceil(n/2) + PERTURB_TRIAL_ARRIVALS) over
-    MAX_PERTURB_ARRIVALS raises ResourceLimit before the first trial.
+    MAX_PERTURB_ARRIVALS raises ResourceLimit before the first trial. So does
+    a longest perturbed path or a window top that could reach
+    MAX_DELAY_QUANTA in grid units, where int64 times would overflow.
     """
     max_error = to_fraction(max_error_m)
     if max_error < 0:
@@ -420,6 +414,12 @@ def perturb_and_classify(
         )
     target_g = (instance.target + n * params.offset_k_quanta) * PERTURB_GRID
     window_g = PERTURB_GRID // 2
+    top_g = sum(max(s.skip_delay, s.take_delay) for s in layout.stages) * PERTURB_GRID
+    if max(top_g + n * err_span, target_g + window_g) >= MAX_DELAY_QUANTA:
+        raise ResourceLimit(
+            f"perturbed arrival times could reach {MAX_DELAY_QUANTA} grid units "
+            f"(quantum/{PERTURB_GRID})"
+        )
     oracle_yes = solve_auto(instance).verdict is Verdict.YES
 
     rng = random.Random(rng_seed)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lightsum as ls
+from lightsum import model
 
 P = ls.PhysicalParams()
 
@@ -32,6 +33,13 @@ def test_max_encodable_rejects_non_positive_lengths():
         ls.max_encodable(0, P)
     with pytest.raises(ls.InvalidValue):
         ls.max_encodable(-3, P)
+
+
+def test_max_encodable_stops_below_the_delay_bound():
+    bound, q = model.MAX_DELAY_QUANTA, P.quantum_length_m
+    assert ls.max_encodable((bound - 1) * q, P) == bound - 1
+    with pytest.raises(ls.Overflow):
+        ls.max_encodable(bound * q, P)
 
 
 @given(

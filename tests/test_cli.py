@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 import lightsum as ls
-from lightsum import cli, sim
+from lightsum import cli, model, sim
+from lightsum.rational import fraction_str
 
 
 def write_instance(tmp_path, doc, name="inst.json"):
@@ -366,3 +367,63 @@ def test_solve_reads_wide_values_from_the_halves(tmp_path, capsys):
         assert code == {"YES": 0, "NO": 1}[report["simulator"]["verdict"]]
         codes.append(code)
     assert codes[0] == 0  # a planted subset
+
+
+def test_delays_past_the_bound_are_input_errors(tmp_path, capsys):
+    bound = model.MAX_DELAY_QUANTA
+    # a units digit pins the scale: 10^18 five times would normalize to 1
+    big = "999999999999999999"
+    cases = [
+        ({"set": [big] * 5, "target": big}, ["solve"]),
+        ({"set": [1, 2], "target": 3}, ["solve", "--k", str(bound)]),
+        ({"set": [1, 2], "target": 3}, ["compile", "--k", str(bound)]),
+        ({"set": [1, 2], "target": 3}, ["demo-epsilon", "--epsilon", str(bound)]),
+        ({"set": [1, 2], "target": 3},
+         ["analyze", "--max-cable-m", fraction_str(bound * ls.PhysicalParams().quantum_length_m)]),
+    ]
+    for doc, (command, *flags) in cases:
+        f = write_instance(tmp_path, doc)
+        code, report, err = run(capsys, [command, f, *flags])
+        assert (code, report) == (3, None), (command, flags)
+        assert str(bound) in err
+
+
+def test_perturb_past_the_grid_bound_is_a_resource_limit(tmp_path, capsys):
+    # 1.2e13 quanta fit the bound; 1.2e19 grid units do not (a units digit
+    # pins the scale: 3e12 would normalize to 3)
+    f = write_instance(tmp_path, {"set": ["3000000000001"] * 4, "target": "12000000000004"})
+    code, report, err = run(capsys, ["perturb", f, "--max-error-m", "0.00003"])
+    assert (code, report) == (4, None)
+    assert "grid" in err
+
+
+def test_solve_values_far_above_the_target(tmp_path, capsys):
+    # the DP oracle skips values above B instead of shifting its table by them
+    f = write_instance(tmp_path, {"set": ["1000000000000000000"] * 4, "target": "1"})
+    code, report, _ = run(capsys, ["solve", f])
+    assert code == 1
+    assert report["oracle"]["solver_name"] == "dp"
+    assert report["agreement"] is True
+
+
+def test_failed_dump_leaves_the_file_untouched(tmp_path, capsys, monkeypatch):
+    # each half of 3 stages holds 8 distinct times, the whole profile 64
+    monkeypatch.setattr(sim, "MAX_DENSE_SLOTS", 0)
+    monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
+    f = write_instance(tmp_path, {"set": [1, 2, 4, 8, 16, 32], "target": 5})
+    out = tmp_path / "profile.txt"
+    out.write_text("earlier dump\n", encoding="utf-8")
+    for argv in (["solve", f], ["demo-epsilon", f]):
+        code, report, err = run(capsys, [*argv, "--dump-profile", str(out)])
+        assert (code, report) == (4, None), argv
+        assert "resource limit" in err
+        assert out.read_text(encoding="utf-8") == "earlier dump\n"
+
+
+def test_parser_reuse_keeps_no_flags_between_calls(tmp_path, capsys):
+    f = write_instance(tmp_path, {"set": [1, 2, 3], "target": 5})
+    _, report, _ = run(capsys, ["solve", f, "--k", "5"])
+    assert report["simulator"]["checked_moment"] == 5 + 3 * 5
+    _, report, _ = run(capsys, ["solve", f])
+    assert report["simulator"]["checked_moment"] == 5 + 3 * 1
+    assert cli.build_parser() is cli.build_parser()

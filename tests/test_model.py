@@ -108,8 +108,19 @@ def test_normalize_overflow_beyond_ceiling(monkeypatch):
     raw = ls.RawInstance.from_values(["1e30"], 1)
     with pytest.raises(ls.Overflow):
         ls.normalize(raw)
-    monkeypatch.setattr(model, "DEFAULT_VALUE_CEILING", 10**31)
+    monkeypatch.setattr(model, "MAX_DELAY_QUANTA", 10**31)
     assert ls.normalize(raw).values == (10**30,)
+
+
+def test_instance_sum_and_target_stay_below_the_delay_bound():
+    bound = model.MAX_DELAY_QUANTA
+    assert ls.Instance.from_values([bound // 2, bound // 2 - 1], bound - 1).total == bound - 1
+    for values, target in [([bound // 2, bound // 2], 1), ([1], bound), ([10**30] * 2, 0)]:
+        with pytest.raises(ls.Overflow, match=str(bound)):
+            ls.Instance.from_values(values, target)
+    # five values of 1e18 sum past 2^62, though each one is below it
+    with pytest.raises(ls.Overflow):
+        ls.normalize(ls.RawInstance.from_values(["1000000000000000000"] * 5, 1))
 
 
 decimal_number = st.builds(
@@ -235,6 +246,20 @@ def test_layout_validation_rejects_malformed_stages():
     ]:
         with pytest.raises(ls.InvalidValue):
             ls.DeviceLayout(stages=(ls.Stage(value=1, skip_delay=1, take_delay=2), bad))
+
+
+def test_layout_longest_path_stays_below_the_delay_bound():
+    bound = model.MAX_DELAY_QUANTA
+    # the instance fits; its longest path, sum(a_i) + n*k, is what reaches the bound
+    inst = ls.Instance.from_values([bound // 2 - 2] * 2, 0)
+    layout = ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=1))
+    assert sum(s.take_delay for s in layout.stages) == bound - 2
+    for k in (2, bound):
+        with pytest.raises(ls.Overflow, match=str(bound)):
+            ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=k))
+    small = ls.Instance.from_values([1, 2], 3)
+    with pytest.raises(ls.Overflow):
+        ls.compile_epsilon_layout(small, bound)
 
 
 def test_compile_epsilon_layout():

@@ -69,12 +69,25 @@ def test_bruteforce_cap():
         ls.solve_bruteforce(inst)
 
 
-def test_bruteforce_python_fallback_for_huge_values():
-    big = 10**30
-    inst = ls.Instance.from_values([big, big], 2 * big)
-    assert ls.solve_bruteforce(inst).verdict is ls.Verdict.YES
-    assert ls.solve_bruteforce(ls.Instance.from_values([big, big], big + 1)).verdict \
-        is ls.Verdict.NO
+def test_int64_enumeration_is_exact_up_to_the_delay_bound():
+    # instances past 2^62 never reach an oracle; just inside it, the int64
+    # subset sums and target - left are exact
+    with pytest.raises(ls.Overflow):
+        ls.Instance.from_values([10**30, 10**30], 2 * 10**30)
+    a = 2**61 - 2
+    for target, verdict in ((2 * a, ls.Verdict.YES), (2**61, ls.Verdict.NO)):
+        inst = ls.Instance.from_values([a, a], target)
+        for solve in (ls.solve_bruteforce, ls.solve_mitm, ls.solve_auto):
+            assert solve(inst).verdict is verdict, (solve, target)
+
+
+def test_dp_skips_values_above_the_target():
+    # shifting the table by 10^18 would build an integer of 10^18 bits
+    inst = ls.Instance.from_values([10**18, 2, 3], 5)
+    result = ls.solve_dp(inst, want_witness=True)
+    assert result.verdict is ls.Verdict.YES
+    assert result.witness == (1, 2)
+    assert ls.solve_dp(ls.Instance.from_values([10**18] * 4, 1)).verdict is ls.Verdict.NO
 
 
 def test_mitm_basic_cases():

@@ -128,13 +128,27 @@ def test_wide_count_fields_decode_exactly():
 
 
 def test_sparse_path_handles_values_too_long_to_pack():
-    # 5e18 takes the arrival times past 2^63
-    for a in (10**9, 5 * 10**18):
+    # 2^61 - 2 twice is a longest path of 2^62 - 2, just inside the delay
+    # bound; 5e18 twice is past it and is rejected before anything propagates
+    for a in (10**9, 2**61 - 2):
         inst = ls.Instance.from_values([a, a], 2 * a)
         profile = ls.propagate(ls.compile_layout(inst, P))
+        assert profile.times.dtype == np.int64
         assert dict(profile.items()) == {2: 1, a + 2: 2, 2 * a + 2: 1}
         assert profile.count_at(a + 2) == 2
         assert profile.count_at(a + 1) == 0
+    with pytest.raises(ls.Overflow):
+        ls.Instance.from_values([5 * 10**18] * 2, 10**19)
+
+
+def test_halves_detect_exactly_just_inside_the_delay_bound():
+    a = 2**61 - 2
+    for target, verdict in ((2**62 - 4, ls.Verdict.YES), (2**61, ls.Verdict.NO)):
+        inst = ls.Instance.from_values([a, a], target)
+        report = ls.detect(ls.propagate_halves(ls.compile_layout(inst, P)), inst, P)
+        assert report.verdict is verdict
+        assert report.checked_moment == target + 2
+        assert ls.solve_auto(inst).verdict is verdict
 
 
 @pytest.mark.parametrize("epsilon", [False, True], ids=["offset", "epsilon"])
@@ -236,9 +250,16 @@ def test_detect_stage_mismatch():
 
 
 def test_detect_target_far_beyond_the_profile():
-    report = detect_values([1, 2], 10**30)
-    assert report.verdict is ls.Verdict.NO
-    assert report.ray_count_at_moment == 0
+    # the largest target an instance may have: its moment 2^62 + 1 is still
+    # int64, for the whole profile and for the halves
+    inst = ls.Instance.from_values([1, 2], 2**62 - 1)
+    layout = ls.compile_layout(inst, P)
+    for profile in (ls.propagate(layout), ls.propagate_halves(layout)):
+        report = ls.detect(profile, inst, P)
+        assert report.verdict is ls.Verdict.NO
+        assert report.ray_count_at_moment == 0
+    with pytest.raises(ls.Overflow):
+        detect_values([1, 2], 10**30)
 
 
 @given(values=small_values, target=st.integers(0, 250), k=st.integers(1, 6))
@@ -380,11 +401,11 @@ def test_perturbed_profiles_share_the_map_entry_cap(monkeypatch):
         perturb_values([1, 2, 4, 8, 16, 32], 3, 0, 1, seed=0)
 
 
-T12 = 10**12
+T11 = 10**11
 
 # (misclassified, false_positives, false_negatives, max_arrival_error_s) of
-# 40 trials, keyed by (error in quanta, seed). The 10^12 values put grid times
-# past 2^63, so those trials run on Python-int times.
+# 40 trials, keyed by (error in quanta, seed). The 10^11 values put grid
+# times near 1.2e18, a quarter of the bound on them.
 PINNED_PERTURBATIONS = [
     ([1, 1, 1], 4, {
         ("0.1", 0): (0, 0, 0, "0.000000000000260796"),
@@ -406,12 +427,12 @@ PINNED_PERTURBATIONS = [
         ("0.4", 0): (7, 0, 7, "0.00000000000156635"),
         ("0.4", 1): (9, 0, 9, "0.000000000001763271"),
     }),
-    ([3 * T12, 4 * T12, 5 * T12], 7 * T12, {
+    ([3 * T11, 4 * T11, 5 * T11], 7 * T11, {
         ("0.1", 0): (0, 0, 0, "0.000000000000260796"),
         ("0.4", 0): (10, 0, 10, "0.000000000001043176"),
         ("0.4", 1): (8, 0, 8, "0.000000000001094566"),
     }),
-    ([3 * T12, 4 * T12, 5 * T12], 6 * T12, {
+    ([3 * T11, 4 * T11, 5 * T11], 6 * T11, {
         ("0.4", 0): (0, 0, 0, "0.000000000001043176"),
         ("0.4", 1): (0, 0, 0, "0.000000000001094566"),
     }),
@@ -428,21 +449,14 @@ def test_perturbation_reports_are_pinned(values, target, expected):
         assert got == pinned, (values, target, quanta, seed)
 
 
-def test_split_reads_moments_past_int64_with_int64_halves():
-    # four values of 3e12 quanta: each half ends below 2^63 in grid units,
-    # the checked moment (1.2e19) above it; the figures were recorded from
-    # the whole-profile map
-    pinned = {
-        ("0.1", 0): (0, 0, 0, "0.000000000000314078"),
-        ("0.4", 0): (11, 0, 11, "0.000000000001256304"),
-        ("0.4", 1): (5, 0, 5, "0.000000000001322474"),
-    }
-    for (quanta, seed), expected in pinned.items():
-        error = Fraction(quanta) * P.quantum_length_m
-        report = perturb_values([3 * T12] * 4, 12 * T12, error, 40, seed)
-        got = (report.misclassified, report.false_positives, report.false_negatives,
-               fraction_str(report.max_arrival_error_s))
-        assert got == expected, (quanta, seed)
+def test_perturbation_past_the_grid_bound_is_a_resource_limit():
+    # grid times are quanta * 10^6 and stay below 2^62: four values of 3e12
+    # make a longest path of 1.2e19 grid units, and a target of 5e12 a window
+    # at 5e18, though both instances fit the bound in quanta
+    error = Fraction(1, 10) * P.quantum_length_m
+    for values, target in (([3 * 10**12] * 4, 12 * 10**12), ([1, 2], 5 * 10**12)):
+        with pytest.raises(ls.ResourceLimit, match="grid"):
+            perturb_values(values, target, error, 40, seed=0)
 
 
 def test_perturbation_argument_validation():
