@@ -227,6 +227,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     instance, params = _load(args)
+    compile_layout(instance, params)  # the device's longest-path bound
     report = feasibility_report(instance, params, args.max_cable_m)
     _emit(report.to_json_dict())
     _vprint(args, f"max encodable value: {report.max_encodable_value}")

@@ -330,9 +330,10 @@ def parse_instance_document(doc: object) -> tuple[RawInstance, PhysicalParams]:
 
 def load_instance_file(path: str | Path) -> tuple[RawInstance, PhysicalParams]:
     """Read and validate an instance file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=Decimal)
+    except ValueError as exc:
+        # bytes that are not UTF-8, malformed JSON, or an integer past the
+        # interpreter's digit limit
         raise ParseError(f"{path}: {exc}") from exc
     return parse_instance_document(doc)

@@ -26,8 +26,14 @@ the rays arriving at M number sum_t left(t) * right(M - t): one searchsorted
 of M - t into the right half's times finds the pairs. M = B + n*k is below
 2^63, since B and n*k are each below 2^62, so M - t is exact in int64. Each
 half holds at most 2^ceil(n/2) arrival times, and the caps apply per half.
-The solver, the epsilon demonstration and every perturbation trial read their
-moments this way; the whole profile (`propagate`) is built only to be dumped.
+The solver and the epsilon demonstration read their moments this way; the
+whole profile (`propagate`) is built only to be dumped.
+
+Perturbation trials cut their chains at the same node but need no counts,
+only whether any path lands in a window. A chunk of trials enumerates each
+half's 2^stages path times at once, one (trials, paths) array doubled and
+re-sorted per stage, and each trial's window is read from its two sorted rows
+with two searchsorted calls.
 """
 
 from __future__ import annotations
@@ -68,13 +74,21 @@ DENSE_SLOTS_PER_PATH = 4
 # trial classification is exact integer arithmetic end to end.
 PERTURB_GRID = 10**6
 
-# One perturbation trial propagates two halves of at most 2^ceil(n/2)
-# arrivals each, plus a fixed cost (drawing 2n errors, a few numpy calls per
-# stage) that cost as much as about 2^12 arrivals on a 2-vCPU VM. A run is
-# capped at trials * (2^ceil(n/2) + 2^12) arrivals, which took at most about
-# four minutes there at every n measured, 0 to 36.
+# One perturbation trial enumerates two halves of at most 2^ceil(n/2)
+# arrivals each, plus a fixed cost: about 10 us of searchsorted calls and
+# 0.5 us per drawn error, as much as 2^6 to 2^8 arrivals (130-200 ns each at
+# n = 30-36) on a 2-vCPU VM. A run is capped at trials * (2^ceil(n/2) + 2^12)
+# arrivals. The fixed charge of 2^12 lies above that cost, since trials were
+# dearer before they were batched, and is kept so that the same runs exceed
+# the cap. From per-trial times measured there at n = 0 to 36, a run at the
+# cap comes to at most about three and a half minutes (at n = 36).
 MAX_PERTURB_ARRIVALS = 1 << 30
 PERTURB_TRIAL_ARRIVALS = 1 << 12
+
+# Perturbation trials run a chunk at a time, as many trials as keep each half
+# at about this many arrivals (one trial when a half alone holds more), so one
+# set of numpy calls enumerates the whole chunk.
+PERTURB_CHUNK_ARRIVALS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +219,6 @@ class SplitProfile:
         pairs = self.left.counts[hit].astype(dtype) * self.right.counts[i[hit]].astype(dtype)
         return int(pairs.sum())
 
-    def any_within(self, lo: int, hi: int) -> bool:
-        """Whether any ray arrives in [lo, hi]."""
-        start = np.searchsorted(self.right.times, lo - self.left.times)
-        stop = np.searchsorted(self.right.times, hi - self.left.times, side="right")
-        return bool((start < stop).any())
-
 
 def _arcs(layout: DeviceLayout) -> list[tuple[int, int]]:
     return [(s.skip_delay, s.take_delay) for s in layout.stages]
@@ -219,6 +227,41 @@ def _arcs(layout: DeviceLayout) -> list[tuple[int, int]]:
 def _split(arcs: Sequence[tuple[int, int]]) -> SplitProfile:
     half = len(arcs) // 2
     return SplitProfile(left=_propagate_chain(arcs[:half]), right=_propagate_chain(arcs[half:]))
+
+
+def _path_times(arcs: np.ndarray) -> np.ndarray:
+    """Every path time through each of a batch of chains, sorted per chain.
+
+    `arcs` has shape (chains, stages, 2); row i of the result holds the
+    2^stages path times of chain i in ascending order, equal times kept.
+    """
+    times = np.zeros((len(arcs), 1), dtype=np.int64)
+    for stage in range(arcs.shape[1]):
+        times = np.concatenate(
+            (times + arcs[:, stage, :1], times + arcs[:, stage, 1:]), axis=1
+        )
+        # Two sorted runs side by side: a stable sort merges them in linear time.
+        times.sort(axis=1, kind="stable")
+    return times
+
+
+def _any_within(arcs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Whether any path of each chain in a batch arrives in [lo, hi].
+
+    Each chain is cut at its middle node, as in `_split`: a path arrives in
+    the window when some left time t has a right time in [lo - t, hi - t].
+    """
+    half = arcs.shape[1] // 2
+    left, right = _path_times(arcs[:, :half]), _path_times(arcs[:, half:])
+    hits = np.empty(len(arcs), dtype=bool)
+    for i, (left_times, right_times) in enumerate(zip(left, right)):
+        # Descending left times make ascending keys, which searchsorted
+        # answers far faster than unsorted ones.
+        backwards = left_times[::-1]
+        start = np.searchsorted(right_times, lo - backwards)
+        stop = np.searchsorted(right_times, hi - backwards, side="right")
+        hits[i] = (start < stop).any()
+    return hits
 
 
 def propagate(layout: DeviceLayout) -> ArrivalProfile:
@@ -386,12 +429,17 @@ def perturb_and_classify(
     only resolvable to the quantum, so closer than half a quantum is
     indistinguishable from exact).
     Each trial's detection is classified against the oracle verdict.
-    Deterministic for a fixed seed. Each trial propagates the two halves of
-    the perturbed device, so each half is capped at MAX_PROFILE_ENTRIES
-    distinct times, and trials * (2^ceil(n/2) + PERTURB_TRIAL_ARRIVALS) over
-    MAX_PERTURB_ARRIVALS raises ResourceLimit before the first trial. So does
-    a longest perturbed path or a window top that could reach
-    MAX_DELAY_QUANTA in grid units, where int64 times would overflow.
+    Deterministic for a fixed seed: errors are drawn trial by trial, stage by
+    stage, skip arc before take arc, whatever the chunk size.
+
+    Trials run PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time (at least
+    one), each enumerating every path time of the two halves of its perturbed
+    device. A half holds exactly 2^ceil(n/2) times, equal ones kept, so a
+    half over MAX_PROFILE_ENTRIES raises ResourceLimit before the first
+    trial, as do trials * (2^ceil(n/2) + PERTURB_TRIAL_ARRIVALS) over
+    MAX_PERTURB_ARRIVALS and a longest perturbed path or a window top that
+    could reach MAX_DELAY_QUANTA in grid units, where int64 times would
+    overflow.
     """
     max_error = to_fraction(max_error_m)
     if max_error < 0:
@@ -420,43 +468,41 @@ def perturb_and_classify(
             f"perturbed arrival times could reach {MAX_DELAY_QUANTA} grid units "
             f"(quantum/{PERTURB_GRID})"
         )
+    if 2**half > MAX_PROFILE_ENTRIES:
+        raise ResourceLimit(
+            f"a perturbed half holds 2^{half} arrival times, past the cap of "
+            f"{MAX_PROFILE_ENTRIES}"
+        )
     oracle_yes = solve_auto(instance).verdict is Verdict.YES
 
-    rng = random.Random(rng_seed)
-    misclassified = 0
-    false_pos = 0
-    false_neg = 0
+    exact_g = np.array(_arcs(layout), dtype=np.int64).reshape(n, 2) * PERTURB_GRID
+    chunk = max(1, PERTURB_CHUNK_ARRIVALS >> half)
+    draw = random.Random(rng_seed).randint
+    detected = 0
     max_err_g = 0
-    for _ in range(trials):
-        arcs: list[tuple[int, int]] = []
-        lo = hi = 0
-        for stage in layout.stages:
-            skip_e = rng.randint(-err_span, err_span)
-            take_e = rng.randint(-err_span, err_span)
-            skip_g = stage.skip_delay * PERTURB_GRID + skip_e
-            take_g = stage.take_delay * PERTURB_GRID + take_e
-            if skip_g <= 0 or take_g <= 0:
-                raise InvalidPerturbation(
-                    "a sampled length error made a cable non-positive; "
-                    "reduce max_error_m"
-                )
-            arcs.append((skip_g, take_g))
-            lo += min(skip_e, take_e)
-            hi += max(skip_e, take_e)
-        max_err_g = max(max_err_g, abs(lo), abs(hi))
+    for done in range(0, trials, chunk):
+        c = min(chunk, trials - done)
+        # Drawn in the order trial, stage, skip before take.
+        errors = np.array(
+            [draw(-err_span, err_span) for _ in range(2 * n * c)], dtype=np.int64
+        ).reshape(c, n, 2)
+        arcs = exact_g + errors
+        if (arcs <= 0).any():
+            raise InvalidPerturbation(
+                "a sampled length error made a cable non-positive; reduce max_error_m"
+            )
+        # A trial's earliest and latest drift: every stage's smaller error, or larger.
+        drift = np.abs((errors.min(axis=2).sum(axis=1), errors.max(axis=2).sum(axis=1)))
+        max_err_g = max(max_err_g, int(drift.max()))
+        detected += int(_any_within(arcs, target_g - window_g, target_g + window_g).sum())
 
-        detected = _split(arcs).any_within(target_g - window_g, target_g + window_g)
-
-        if detected != oracle_yes:
-            misclassified += 1
-            if detected:
-                false_pos += 1
-            else:
-                false_neg += 1
-
+    # Every trial of a YES instance that detects nothing is a false negative,
+    # every trial of a NO instance that detects something a false positive.
+    false_pos = 0 if oracle_yes else detected
+    false_neg = trials - detected if oracle_yes else 0
     return PerturbationReport(
         trials=trials,
-        misclassified=misclassified,
+        misclassified=false_pos + false_neg,
         false_positives=false_pos,
         false_negatives=false_neg,
         max_arrival_error_s=max_err_g * params.delay_quantum_s / PERTURB_GRID,

@@ -233,6 +233,18 @@ def test_unparseable_file_is_an_input_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_unreadable_numbers_and_bytes_are_input_errors(tmp_path, capsys):
+    # an integer past the interpreter's 4300-digit limit, and a file that is
+    # not UTF-8
+    path = tmp_path / "bad.json"
+    for content in (b'{"set": [1], "target": ' + b"9" * 5000 + b"}",
+                    b'{"set": [1], "target": 1\xff}'):
+        path.write_bytes(content)
+        code, report, err = run(capsys, ["solve", str(path)])
+        assert (code, report) == (3, None)
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_negative_value_is_an_input_error(tmp_path, capsys):
     f = write_instance(tmp_path, {"set": [-1], "target": 3})
     code, _, _ = run(capsys, ["solve", f])
@@ -377,6 +389,7 @@ def test_delays_past_the_bound_are_input_errors(tmp_path, capsys):
         ({"set": [big] * 5, "target": big}, ["solve"]),
         ({"set": [1, 2], "target": 3}, ["solve", "--k", str(bound)]),
         ({"set": [1, 2], "target": 3}, ["compile", "--k", str(bound)]),
+        ({"set": [1, 2], "target": 3}, ["analyze", "--k", str(bound)]),
         ({"set": [1, 2], "target": 3}, ["demo-epsilon", "--epsilon", str(bound)]),
         ({"set": [1, 2], "target": 3},
          ["analyze", "--max-cable-m", fraction_str(bound * ls.PhysicalParams().quantum_length_m)]),

@@ -169,10 +169,14 @@ def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, dense_slo
             horizon = sum(s.take_delay for s in layout.stages)
             for t in range(horizon + 2):
                 assert split.count_at(t) == whole.count_at(t), (layout, t)
+            # the batched window reader of the perturbation trials, on a
+            # batch of two copies of the chain
+            arcs = np.array([sim._arcs(layout)] * 2, dtype=np.int64).reshape(2, n, 2)
             for lo in range(-2, horizon + 2, 3):
                 hi = lo + rng.randint(0, 2)
                 expected = any(whole.count_at(t) for t in range(lo, hi + 1))
-                assert split.any_within(lo, hi) == expected, (layout, lo, hi)
+                hits = sim._any_within(arcs, lo, hi).tolist()
+                assert hits == [expected, expected], (layout, lo, hi)
 
 
 def test_split_count_multiplies_in_the_width_of_the_whole_device():
@@ -394,8 +398,7 @@ def test_perturbation_cap_charges_each_trial_a_fixed_cost():
 
 
 def test_perturbed_profiles_share_the_map_entry_cap(monkeypatch):
-    # distinct values give each half of 3 stages 8 distinct perturbed
-    # arrival times, over a cap of 4
+    # each half of 3 stages holds 8 perturbed arrival times, over a cap of 4
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
     with pytest.raises(ls.ResourceLimit):
         perturb_values([1, 2, 4, 8, 16, 32], 3, 0, 1, seed=0)
@@ -447,6 +450,47 @@ def test_perturbation_reports_are_pinned(values, target, expected):
         got = (report.misclassified, report.false_positives, report.false_negatives,
                fraction_str(report.max_arrival_error_s))
         assert got == pinned, (values, target, quanta, seed)
+
+
+def test_perturbed_half_cap_counts_arrivals_before_the_first_trial(monkeypatch):
+    # unit values with no error give a half of 3 stages only 4 distinct
+    # times but 8 arrivals; 2-quantum errors would make the first trial's
+    # cables non-positive, so the cap is checked before any trial runs
+    monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
+    for error in (0, 2 * P.quantum_length_m):
+        with pytest.raises(ls.ResourceLimit, match=r"2\^3"):
+            perturb_values([1] * 6, 3, error, 1, seed=0)
+    monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
+    assert perturb_values([1] * 6, 3, 0, 1, seed=0).misclassified == 0
+
+
+def chunk_of(trials_per_chunk, n):
+    """The PERTURB_CHUNK_ARRIVALS that runs n-stage trials this many at a time."""
+    return trials_per_chunk << (n + 1) // 2
+
+
+@pytest.mark.parametrize("values,target,expected", PINNED_PERTURBATIONS)
+def test_perturbation_reports_do_not_depend_on_the_chunk_size(values, target, expected,
+                                                                monkeypatch):
+    # one trial per chunk, and 3 per chunk, which splits 40 trials 13 * 3 + 1
+    for quanta, seed in expected:
+        error = Fraction(quanta) * P.quantum_length_m
+        default = perturb_values(values, target, error, 40, seed)
+        for per_chunk in (1, 3):
+            with monkeypatch.context() as m:
+                m.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk_of(per_chunk, len(values)))
+                assert perturb_values(values, target, error, 40, seed) == default
+
+
+def test_non_positive_cable_is_rejected_whatever_the_chunk_size(monkeypatch):
+    # 1.1-quantum errors on skip arcs of one quantum: at seed 2 the first 16
+    # trials draw positive cables and the 17th does not
+    error = Fraction(11, 10) * P.quantum_length_m
+    assert perturb_values([1, 1, 1], 4, error, 16, seed=2).trials == 16
+    for per_chunk in (1, 7, 64):
+        monkeypatch.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk_of(per_chunk, 3))
+        with pytest.raises(ls.InvalidPerturbation):
+            perturb_values([1, 1, 1], 4, error, 40, seed=2)
 
 
 def test_perturbation_past_the_grid_bound_is_a_resource_limit():
