@@ -10,12 +10,14 @@ unexpected exception, with its traceback on stderr; never read as a verdict).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 import time
 import traceback
 from dataclasses import replace
+from typing import Iterator
 
 from .analysis import feasibility_report, slow_light_rescale
 from .errors import (
@@ -134,8 +136,23 @@ def _load(args: argparse.Namespace) -> tuple[Instance, PhysicalParams]:
     return normalize(raw), params
 
 
+@contextlib.contextmanager
+def _exact_ints() -> Iterator[None]:
+    """Lift the int-to-str digit limit while output is written; input keeps it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # 3.10.6 and older have none
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(report: dict[str, object]) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _exact_ints():
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _vprint(args: argparse.Namespace, text: str) -> None:
@@ -170,7 +187,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.dump_profile:
         # Built before the file is opened, so a ResourceLimit leaves it untouched.
         profile = propagate(layout)
-        with open(args.dump_profile, "w", encoding="utf-8") as fh:
+        with _exact_ints(), open(args.dump_profile, "w", encoding="utf-8") as fh:
             write_profile(profile, fh)
 
     feasibility = None
@@ -242,7 +259,7 @@ def cmd_demo_epsilon(args: argparse.Namespace) -> int:
     demo = epsilon_false_positive_demo(instance, args.epsilon, params)
     if args.dump_profile:
         profile = propagate(compile_epsilon_layout(instance, args.epsilon))
-        with open(args.dump_profile, "w", encoding="utf-8") as fh:
+        with _exact_ints(), open(args.dump_profile, "w", encoding="utf-8") as fh:
             write_profile(profile, fh)
     _emit(demo.to_json_dict())
     _vprint(args, f"epsilon={demo.epsilon_verdict.value} offset={demo.offset_verdict.value} "

@@ -7,17 +7,17 @@ the two, so after n stages the histogram at the destination is exactly the
 multiset of subset sums shifted by the accumulated skip delays. The offset
 device and the epsilon device differ only in those two delays.
 
-A chain of stages propagates on one of two representations. While its
-horizon is at most DENSE_SLOTS_PER_PATH slots per path (2^stages paths) and
-fits MAX_DENSE_SLOTS, it runs on one dense count array of horizon + 1 slots;
+A chain of stages propagates on one of two representations. While its horizon
+is at most DENSE_SLOTS_PER_PATH slots per path (2^stages paths) and fits
+MAX_PROFILE_ENTRIES, it runs on one dense count array of horizon + 1 slots;
 each stage writes the two shifted copies, summed, into a second buffer.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
 (object dtype) take over above. Longer horizons, such as values of 10^9,
-use the map: sorted arrays of the distinct arrival times and their counts.
-Each stage merges the two shifted copies and sums the counts of equal times,
-and the map is capped at MAX_PROFILE_ENTRIES distinct times. Times are
-always int64: a layout's longest path is below model.MAX_DELAY_QUANTA = 2^62,
-and a perturbed device is checked against the same bound in grid units.
+enumerate the chain's path times, at most MAX_PROFILE_ENTRIES of them, into
+one array re-sorted per stage, and count each run of equal times in uint64.
+Times are always int64: a layout's longest path is below
+model.MAX_DELAY_QUANTA = 2^62, and a perturbed device is checked against the
+same bound in grid units.
 
 The detector reads one moment, so detection never builds the whole profile.
 It cuts the chain at its middle node and propagates the first n // 2 stages
@@ -31,9 +31,9 @@ whole profile (`propagate`) is built only to be dumped.
 
 Perturbation trials cut their chains at the same node but need no counts,
 only whether any path lands in a window. A chunk of trials enumerates each
-half's 2^stages path times at once, one (trials, paths) array doubled and
-re-sorted per stage, and each trial's window is read from its two sorted rows
-with two searchsorted calls.
+half's 2^stages path times at once, with the same enumerator run on a
+(trials, paths) array, and each trial's window is read from its two sorted
+rows with two searchsorted calls.
 """
 
 from __future__ import annotations
@@ -59,15 +59,13 @@ from .model import (
 from .oracles import solve_auto
 from .rational import RationalLike, fraction_str, to_fraction
 
-# A dense profile holds this many time slots at most (32 MiB as uint64)
-# before the map takes over; the map in turn is capped at this many distinct
-# arrival times.
-MAX_DENSE_SLOTS = 1 << 22
+# A dense chain holds this many time slots at most (32 MiB as uint64), and an
+# enumerated chain, or a perturbed half, this many path times.
 MAX_PROFILE_ENTRIES = 1 << 22
 
-# A dense stage costs about one slot of work per horizon slot, a map stage
-# tens of times that per distinct time; past about 4 slots per path the map
-# was the faster one on a 2-vCPU VM for chains of 13 stages and more.
+# A dense stage costs a slot of work per horizon slot, an enumerated stage a
+# sort step per path; past 4 slots per path the enumerator was faster on a
+# 2-vCPU VM at 13 stages and more (at 16, from about 2 slots per path).
 DENSE_SLOTS_PER_PATH = 4
 
 # Perturbed cable lengths live on a grid of quantum_length / PERTURB_GRID so
@@ -157,37 +155,42 @@ def _propagate_dense(arcs: Sequence[tuple[int, int]], horizon: int) -> ArrivalPr
     return ArrivalProfile(stage_index=len(arcs), times=times, counts=cur[times])
 
 
-def _propagate_map(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
-    times = np.zeros(1, dtype=np.int64)
-    counts = np.ones(1, dtype=_count_dtype(len(arcs)))
-    for skip, take in arcs:
-        # Two sorted runs, merged by a stable sort; equal times then sit
-        # side by side and reduceat sums each group's counts.
-        merged = np.concatenate((times + skip, times + take))
-        order = np.argsort(merged, kind="stable")
-        merged = merged[order]
-        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
-        # Checked before the counts are gathered, so a rejected stage
-        # allocates no count arrays.
-        if len(starts) > MAX_PROFILE_ENTRIES:
-            raise ResourceLimit(
-                f"profile grew past {MAX_PROFILE_ENTRIES} distinct arrival times"
-            )
-        counts = np.concatenate((counts, counts))[order]
-        # Perturbed devices rarely coincide, and reduceat costs as much on
-        # groups of one, so it runs only when some times are equal.
-        if len(starts) < len(merged):
-            merged, counts = merged[starts], np.add.reduceat(counts, starts)
-        times = merged
-    return ArrivalProfile(stage_index=len(arcs), times=times, counts=counts)
+def _path_times(arcs: np.ndarray) -> np.ndarray:
+    """Every path time through each of a batch of chains, sorted per chain.
+
+    `arcs` has shape (chains, stages, 2); row i of the result holds the
+    2^stages path times of chain i in ascending order, equal times kept.
+    """
+    times = np.zeros((len(arcs), 1), dtype=np.int64)
+    for stage in range(arcs.shape[1]):
+        times = np.concatenate(
+            (times + arcs[:, stage, :1], times + arcs[:, stage, 1:]), axis=1
+        )
+        # Two sorted runs side by side: a stable sort merges them in linear time.
+        times.sort(axis=1, kind="stable")
+    return times
+
+
+def _check_paths(stages: int) -> None:
+    """Refuse a chain whose 2^stages paths are past MAX_PROFILE_ENTRIES."""
+    if 2**stages > MAX_PROFILE_ENTRIES:
+        raise ResourceLimit(
+            f"a chain of {stages} stages has 2^{stages} paths, past the cap of "
+            f"{MAX_PROFILE_ENTRIES}"
+        )
 
 
 def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
-    # Dense while the horizon is short next to the 2^stages paths, else the map.
+    # Dense while the horizon is short next to the 2^stages paths, else every
+    # path time is enumerated and each run of equal times counted.
     horizon = sum(max(arc) for arc in arcs)
-    if horizon + 1 <= min(MAX_DENSE_SLOTS, DENSE_SLOTS_PER_PATH << len(arcs)):
+    if horizon + 1 <= min(MAX_PROFILE_ENTRIES, DENSE_SLOTS_PER_PATH << len(arcs)):
         return _propagate_dense(arcs, horizon)
-    return _propagate_map(arcs)
+    _check_paths(len(arcs))
+    times = _path_times(np.array(arcs, dtype=np.int64).reshape(1, len(arcs), 2))[0]
+    starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
+    counts = np.diff(starts, append=len(times)).astype(np.uint64)
+    return ArrivalProfile(stage_index=len(arcs), times=times[starts], counts=counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,22 +232,6 @@ def _split(arcs: Sequence[tuple[int, int]]) -> SplitProfile:
     return SplitProfile(left=_propagate_chain(arcs[:half]), right=_propagate_chain(arcs[half:]))
 
 
-def _path_times(arcs: np.ndarray) -> np.ndarray:
-    """Every path time through each of a batch of chains, sorted per chain.
-
-    `arcs` has shape (chains, stages, 2); row i of the result holds the
-    2^stages path times of chain i in ascending order, equal times kept.
-    """
-    times = np.zeros((len(arcs), 1), dtype=np.int64)
-    for stage in range(arcs.shape[1]):
-        times = np.concatenate(
-            (times + arcs[:, stage, :1], times + arcs[:, stage, 1:]), axis=1
-        )
-        # Two sorted runs side by side: a stable sort merges them in linear time.
-        times.sort(axis=1, kind="stable")
-    return times
-
-
 def _any_within(arcs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Whether any path of each chain in a batch arrives in [lo, hi].
 
@@ -278,8 +265,8 @@ def propagate(layout: DeviceLayout) -> ArrivalProfile:
 def propagate_halves(layout: DeviceLayout) -> SplitProfile:
     """The profiles of the device's two halves, enough to read any moment.
 
-    Each half holds at most 2^ceil(n/2) arrival times, so the map cap
-    MAX_PROFILE_ENTRIES bounds each half rather than the whole device.
+    Each half has at most 2^ceil(n/2) paths, so MAX_PROFILE_ENTRIES bounds
+    each half rather than the whole device.
     """
     return _split(_arcs(layout))
 
@@ -434,12 +421,11 @@ def perturb_and_classify(
 
     Trials run PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time (at least
     one), each enumerating every path time of the two halves of its perturbed
-    device. A half holds exactly 2^ceil(n/2) times, equal ones kept, so a
-    half over MAX_PROFILE_ENTRIES raises ResourceLimit before the first
-    trial, as do trials * (2^ceil(n/2) + PERTURB_TRIAL_ARRIVALS) over
-    MAX_PERTURB_ARRIVALS and a longest perturbed path or a window top that
-    could reach MAX_DELAY_QUANTA in grid units, where int64 times would
-    overflow.
+    device. A half past the path cap that detection checks raises
+    ResourceLimit before the first trial, as do trials * (2^ceil(n/2) +
+    PERTURB_TRIAL_ARRIVALS) over MAX_PERTURB_ARRIVALS and a longest perturbed
+    path or a window top that could reach MAX_DELAY_QUANTA in grid units,
+    where int64 times would overflow.
     """
     max_error = to_fraction(max_error_m)
     if max_error < 0:
@@ -468,11 +454,7 @@ def perturb_and_classify(
             f"perturbed arrival times could reach {MAX_DELAY_QUANTA} grid units "
             f"(quantum/{PERTURB_GRID})"
         )
-    if 2**half > MAX_PROFILE_ENTRIES:
-        raise ResourceLimit(
-            f"a perturbed half holds 2^{half} arrival times, past the cap of "
-            f"{MAX_PROFILE_ENTRIES}"
-        )
+    _check_paths(half)
     oracle_yes = solve_auto(instance).verdict is Verdict.YES
 
     exact_g = np.array(_arcs(layout), dtype=np.int64).reshape(n, 2) * PERTURB_GRID

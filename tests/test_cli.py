@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -366,8 +368,8 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
 
 
 def test_solve_reads_wide_values_from_the_halves(tmp_path, capsys):
-    # n = 30 values to 1e9: the whole profile would pass the map cap, each
-    # half holds 2^15 arrival times
+    # n = 30 values to 1e9: the whole device's 2^30 paths would pass the
+    # cap, each half has 2^15
     rng = random.Random(30)
     values = [rng.randint(1, 10**9) for _ in range(30)]
     codes = []
@@ -420,8 +422,8 @@ def test_solve_values_far_above_the_target(tmp_path, capsys):
 
 
 def test_failed_dump_leaves_the_file_untouched(tmp_path, capsys, monkeypatch):
-    # each half of 3 stages holds 8 distinct times, the whole profile 64
-    monkeypatch.setattr(sim, "MAX_DENSE_SLOTS", 0)
+    # each half of 3 stages has 8 paths, the whole device 64
+    monkeypatch.setattr(sim, "DENSE_SLOTS_PER_PATH", 0)
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
     f = write_instance(tmp_path, {"set": [1, 2, 4, 8, 16, 32], "target": 5})
     out = tmp_path / "profile.txt"
@@ -431,6 +433,46 @@ def test_failed_dump_leaves_the_file_untouched(tmp_path, capsys, monkeypatch):
         assert (code, report) == (4, None), argv
         assert "resource limit" in err
         assert out.read_text(encoding="utf-8") == "earlier dump\n"
+
+
+def test_solve_refuses_long_halves_by_their_path_count(tmp_path, capsys, monkeypatch):
+    # each half of 4 equal long stages has 16 paths, past a cap of 8, but
+    # only 5 distinct times
+    monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
+    f = write_instance(tmp_path, {"set": ["1000000001"] * 8, "target": "1000000001"})
+    code, report, err = run(capsys, ["solve", f])
+    assert (code, report) == (4, None)
+    assert "2^4 paths" in err
+
+
+@pytest.fixture
+def int_digit_limit_640():
+    """The interpreter's int-to-str digit limit, lowered to 640 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_ray_counts_past_the_int_digit_limit_are_written_whole(tmp_path, capsys,
+                                                                int_digit_limit_640):
+    # C(2200, 1100) has 661 digits; Decimal parses it back past the limit
+    n = 2200
+    f = write_instance(tmp_path, {"set": [1] * n, "target": n // 2})
+    out = tmp_path / "profile.txt"
+    out.write_text("earlier dump\n", encoding="utf-8")
+    code = cli.main(["solve", f, "--dump-profile", str(out)])
+    report = json.loads(capsys.readouterr().out, parse_int=Decimal)
+    assert code == 0
+    assert report["simulator"]["ray_count_at_moment"] == math.comb(n, n // 2)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [tuple(map(Decimal, line.split())) for line in lines] == [
+        (n + j, math.comb(n, j)) for j in range(n + 1)
+    ]
+    # input parsing keeps the limit
+    assert sys.get_int_max_str_digits() == 640
 
 
 def test_parser_reuse_keeps_no_flags_between_calls(tmp_path, capsys):

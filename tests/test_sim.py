@@ -92,7 +92,7 @@ def test_stage_recurrence_shift_and_merge(values, extra, k):
 
 @given(values=small_values, delay=st.integers(1, 5), epsilon=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_dense_and_map_paths_match_subset_sums(values, delay, epsilon):
+def test_dense_and_enumerated_paths_match_subset_sums(values, delay, epsilon):
     # A path's delay is sum(skip) plus sum(take - skip) over the stages it
     # takes, for the offset device and the epsilon device alike.
     inst = ls.Instance.from_values(values, 0)
@@ -105,26 +105,19 @@ def test_dense_and_map_paths_match_subset_sums(values, delay, epsilon):
     expected = {base + s: c for s, c in subset_sums(gains).items()}
     assert dict(ls.propagate(layout).items()) == expected
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "MAX_DENSE_SLOTS", 0)
+        mp.setattr(sim, "DENSE_SLOTS_PER_PATH", 0)
         assert dict(ls.propagate(layout).items()) == expected
 
 
 def test_wide_count_fields_decode_exactly():
     # n identical unit values: counts are binomial coefficients; n = 63 and
     # 64 sit on the two sides of the switch from uint64 counts to Python ints
-    # both horizons fit the dense array; with no dense slots they run
-    # through the map, whose reduceat then sums uint64 and object counts
-    for dense_slots in (sim.MAX_DENSE_SLOTS, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "MAX_DENSE_SLOTS", dense_slots)
-            for n, dtype in ((63, np.uint64), (64, object)):
-                inst = ls.Instance.from_values([1] * n, 0)
-                profile = ls.propagate(ls.compile_layout(inst, P))
-                assert profile.counts.dtype == dtype
-                assert dict(profile.items()) == {
-                    n + j: math.comb(n, j) for j in range(n + 1)
-                }
-                assert sum(profile.counts.tolist()) == 2**n
+    for n, dtype in ((63, np.uint64), (64, object)):
+        inst = ls.Instance.from_values([1] * n, 0)
+        profile = ls.propagate(ls.compile_layout(inst, P))
+        assert profile.counts.dtype == dtype
+        assert dict(profile.items()) == {n + j: math.comb(n, j) for j in range(n + 1)}
+        assert sum(profile.counts.tolist()) == 2**n
 
 
 def test_sparse_path_handles_values_too_long_to_pack():
@@ -152,10 +145,12 @@ def test_halves_detect_exactly_just_inside_the_delay_bound():
 
 
 @pytest.mark.parametrize("epsilon", [False, True], ids=["offset", "epsilon"])
-@pytest.mark.parametrize("dense_slots", [sim.MAX_DENSE_SLOTS, 0], ids=["dense", "map"])
-def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, dense_slots, monkeypatch):
+@pytest.mark.parametrize("slots_per_path", [sim.DENSE_SLOTS_PER_PATH, 0],
+                         ids=["dense", "enumerated"])
+def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, slots_per_path,
+                                                              monkeypatch):
     # n = 0..9 cuts the chain into halves of equal and of unequal length
-    monkeypatch.setattr(sim, "MAX_DENSE_SLOTS", dense_slots)
+    monkeypatch.setattr(sim, "DENSE_SLOTS_PER_PATH", slots_per_path)
     rng = random.Random(5)
     for n in range(10):
         for _ in range(3):
@@ -189,11 +184,31 @@ def test_split_count_multiplies_in_the_width_of_the_whole_device():
 
 
 def test_sparse_path_entry_cap(monkeypatch):
-    monkeypatch.setattr(sim, "MAX_DENSE_SLOTS", 0)
+    monkeypatch.setattr(sim, "DENSE_SLOTS_PER_PATH", 0)
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
     inst = ls.Instance.from_values([10**9, 10**5, 10**3], 0)
     with pytest.raises(ls.ResourceLimit):
         ls.propagate(ls.compile_layout(inst, P))
+
+
+def test_path_cap_counts_paths_before_enumerating(monkeypatch):
+    # 4 equal long stages: 16 paths but only 5 distinct times, so the cap of
+    # 8 is passed by the paths alone; detection and trials refuse the same
+    # half with the same message
+    def never(arcs):
+        raise AssertionError("enumerated a chain past the cap")
+
+    monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
+    monkeypatch.setattr(sim, "_path_times", never)
+    with pytest.raises(ls.ResourceLimit, match=r"2\^4") as whole:
+        ls.propagate(ls.compile_layout(ls.Instance.from_values([10**9] * 4, 0), P))
+    inst = ls.Instance.from_values([10**9] * 8, 0)
+    layout = ls.compile_layout(inst, P)
+    with pytest.raises(ls.ResourceLimit) as halves:
+        ls.propagate_halves(layout)
+    with pytest.raises(ls.ResourceLimit) as trials:
+        ls.perturb_and_classify(layout, inst, P, 0, 1, rng_seed=0)
+    assert str(whole.value) == str(halves.value) == str(trials.value)
 
 
 def test_profile_dump_format():
@@ -397,7 +412,7 @@ def test_perturbation_cap_charges_each_trial_a_fixed_cost():
         perturb_values([1], 1, 0, 10**6, seed=0)
 
 
-def test_perturbed_profiles_share_the_map_entry_cap(monkeypatch):
+def test_perturbed_profiles_share_the_entry_cap(monkeypatch):
     # each half of 3 stages holds 8 perturbed arrival times, over a cap of 4
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
     with pytest.raises(ls.ResourceLimit):
