@@ -412,7 +412,7 @@ def test_perturbation_cap_charges_each_trial_a_fixed_cost():
         perturb_values([1], 1, 0, 10**6, seed=0)
 
 
-def test_perturbed_profiles_share_the_entry_cap(monkeypatch):
+def test_perturbed_profiles_share_the_map_entry_cap(monkeypatch):
     # each half of 3 stages holds 8 perturbed arrival times, over a cap of 4
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
     with pytest.raises(ls.ResourceLimit):
