@@ -30,10 +30,12 @@ The solver and the epsilon demonstration read their moments this way; the
 whole profile (`propagate`) is built only to be dumped.
 
 Perturbation trials cut their chains at the same node but need no counts,
-only whether any path lands in a window. A chunk of trials enumerates each
-half's 2^stages path times at once, with the same enumerator run on a
-(trials, paths) array, and each trial's window is read from its two sorted
-rows with two searchsorted calls.
+only whether any path lands in a window. A chunk of trials draws its cable
+errors in one batch, as `random.Random.randint` draws them one by one, and
+enumerates each half's 2^stages path times at once, with the same enumerator
+run on a (trials, paths) array. Each trial's right times then take a band of
+their own on one int64 axis, so one searchsorted pair reads every trial's
+window; the chunk is kept small enough that the bands stay below 2^63.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -73,13 +75,14 @@ DENSE_SLOTS_PER_PATH = 4
 PERTURB_GRID = 10**6
 
 # One perturbation trial enumerates two halves of at most 2^ceil(n/2)
-# arrivals each, plus a fixed cost: about 10 us of searchsorted calls and
-# 0.5 us per drawn error, as much as 2^6 to 2^8 arrivals (130-200 ns each at
-# n = 30-36) on a 2-vCPU VM. A run is capped at trials * (2^ceil(n/2) + 2^12)
-# arrivals. The fixed charge of 2^12 lies above that cost, since trials were
-# dearer before they were batched, and is kept so that the same runs exceed
-# the cap. From per-trial times measured there at n = 0 to 36, a run at the
-# cap comes to at most about three and a half minutes (at n = 36).
+# arrivals each, plus a fixed cost: about 0.1 us a trial and 0.06 us per
+# drawn error, less than one arrival (130-200 ns each at n = 30-36) per
+# error, on a 2-vCPU VM. A run is capped at trials * (2^ceil(n/2) + 2^12)
+# arrivals. The fixed charge of 2^12 lies far above that cost, since trials
+# were dearer before they were batched and their errors drawn in bulk, and is
+# kept so that the same runs exceed the cap. From per-trial times measured
+# there at n = 0 to 36, a run at the cap comes to at most about three and a
+# half minutes (at n = 36).
 MAX_PERTURB_ARRIVALS = 1 << 30
 PERTURB_TRIAL_ARRIVALS = 1 << 12
 
@@ -237,18 +240,62 @@ def _any_within(arcs: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
     Each chain is cut at its middle node, as in `_split`: a path arrives in
     the window when some left time t has a right time in [lo - t, hi - t].
+    Every chain's right times get a band of their own on one axis, so one
+    searchsorted pair answers the whole batch; the caller keeps
+    chains * band below 2^63.
     """
     half = arcs.shape[1] // 2
     left, right = _path_times(arcs[:, :half]), _path_times(arcs[:, half:])
-    hits = np.empty(len(arcs), dtype=bool)
-    for i, (left_times, right_times) in enumerate(zip(left, right)):
-        # Descending left times make ascending keys, which searchsorted
-        # answers far faster than unsorted ones.
-        backwards = left_times[::-1]
-        start = np.searchsorted(right_times, lo - backwards)
-        stop = np.searchsorted(right_times, hi - backwards, side="right")
-        hits[i] = (start < stop).any()
-    return hits
+    # Right times are non-negative: row i holds them in [i*band, i*band + band - 2],
+    # and a key clipped to [-1, band - 1] stays between rows i - 1 and i + 1.
+    band = int(right[:, -1].max()) + 2
+    offsets = np.arange(len(arcs), dtype=np.int64)[:, None] * band
+    axis = (right + offsets).ravel()
+    # Descending left times make ascending keys, which searchsorted answers
+    # far faster than unsorted ones.
+    backwards = left[:, ::-1]
+    start = np.searchsorted(axis, (np.clip(lo - backwards, -1, band - 1) + offsets).ravel())
+    stop = np.searchsorted(
+        axis, (np.clip(hi - backwards, -1, band - 1) + offsets).ravel(), side="right"
+    )
+    return (start < stop).reshape(left.shape).any(axis=1)
+
+
+def _uniform_draws(rng: random.Random, span: int) -> Callable[[int], np.ndarray]:
+    """A source of integers uniform on [-span, span], as `rng.randint` draws them.
+
+    Each call takes the next `count` of them as int64. randint keeps a draw of
+    k = (2*span + 1).bit_length() bits while it is below 2*span + 1; the bits
+    come from ceil(k/32) of the generator's 32-bit words, the last shifted
+    right to leave k. getrandbits(32*m) hands out m of those words at once,
+    least significant first, so a batch is read as uint32 and filtered with
+    the same rule. Draws accepted past `count` wait for the next call; the
+    words drawn past the last one taken are never seen, since `rng` is the
+    caller's own. A draw must fit two words: the grid bound of
+    `perturb_and_classify` keeps `span` below 2^62 whenever it draws at all.
+    """
+    width = 2 * span + 1
+    bits = width.bit_length()
+    words = -(-bits // 32)
+    shift = np.uint64(32 * words - bits)
+    pending = np.empty(0, dtype=np.int64)
+
+    def take(count: int) -> np.ndarray:
+        nonlocal pending
+        while len(pending) < count:
+            # Enough draws to accept what is missing, on average (at least
+            # half of all draws are kept), plus a few.
+            m = ((count - len(pending)) << bits) // width + 16
+            raw = rng.getrandbits(32 * words * m).to_bytes(4 * words * m, "little")
+            batch = np.frombuffer(raw, dtype="<u4").reshape(m, words).astype(np.uint64)
+            batch[:, -1] >>= shift
+            draws = batch[:, 0] if words == 1 else batch[:, 0] | batch[:, 1] << np.uint64(32)
+            kept = draws[draws < np.uint64(width)].astype(np.int64) - span
+            pending = np.concatenate((pending, kept))
+        taken, pending = pending[:count], pending[count:]
+        return taken
+
+    return take
 
 
 def propagate(layout: DeviceLayout) -> ArrivalProfile:
@@ -416,12 +463,15 @@ def perturb_and_classify(
     only resolvable to the quantum, so closer than half a quantum is
     indistinguishable from exact).
     Each trial's detection is classified against the oracle verdict.
-    Deterministic for a fixed seed: errors are drawn trial by trial, stage by
+    Deterministic for a fixed seed: errors, in grid units, are drawn as
+    `random.Random(rng_seed).randint` draws them, trial by trial, stage by
     stage, skip arc before take arc, whatever the chunk size.
 
     Trials run PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time (at least
     one), each enumerating every path time of the two halves of its perturbed
-    device. A half past the path cap that detection checks raises
+    device. A chunk also holds at most (2^63 - 1) // (longest perturbed path
+    + 2) trials, so that its trials' bands fit one int64 axis. A half past
+    the path cap that detection checks raises
     ResourceLimit before the first trial, as do trials * (2^ceil(n/2) +
     PERTURB_TRIAL_ARRIVALS) over MAX_PERTURB_ARRIVALS and a longest perturbed
     path or a window top that could reach MAX_DELAY_QUANTA in grid units,
@@ -458,16 +508,15 @@ def perturb_and_classify(
     oracle_yes = solve_auto(instance).verdict is Verdict.YES
 
     exact_g = np.array(_arcs(layout), dtype=np.int64).reshape(n, 2) * PERTURB_GRID
-    chunk = max(1, PERTURB_CHUNK_ARRIVALS >> half)
-    draw = random.Random(rng_seed).randint
+    # A chunk's trials share one int64 axis, a band of longest-path + 2 each.
+    chunk = max(1, min(PERTURB_CHUNK_ARRIVALS >> half, (2**63 - 1) // (top_g + n * err_span + 2)))
+    draw = _uniform_draws(random.Random(rng_seed), err_span)
     detected = 0
     max_err_g = 0
     for done in range(0, trials, chunk):
         c = min(chunk, trials - done)
         # Drawn in the order trial, stage, skip before take.
-        errors = np.array(
-            [draw(-err_span, err_span) for _ in range(2 * n * c)], dtype=np.int64
-        ).reshape(c, n, 2)
+        errors = draw(2 * n * c).reshape(c, n, 2)
         arcs = exact_g + errors
         if (arcs <= 0).any():
             raise InvalidPerturbation(

@@ -508,6 +508,36 @@ def test_non_positive_cable_is_rejected_whatever_the_chunk_size(monkeypatch):
             perturb_values([1, 1, 1], 4, error, 40, seed=2)
 
 
+@pytest.mark.parametrize("span", [0, 1, 2, 7, 8, 35714, 400000, 2**31 - 1, 2**32,
+                                  3_333_333_333, 2**61 - 1])
+def test_bulk_draws_are_the_draws_of_randint(span):
+    # The bulk reader relies on how CPython's randint spends the generator's
+    # 32-bit words. A take of one leaves the rest of its batch pending, and
+    # the odd and the long takes after it start from what is left over.
+    for seed in (0, 1, 2024):
+        take = sim._uniform_draws(random.Random(seed), span)
+        twin = random.Random(seed)
+        for count in (1, 7, 1001, 1, 3):
+            expected = [twin.randint(-span, span) for _ in range(count)]
+            drawn = take(count)
+            assert drawn.dtype == np.int64
+            assert drawn.tolist() == expected, (span, seed, count)
+
+
+def test_chunks_stay_within_one_int64_axis(monkeypatch):
+    # Grid times near 1.2e17 per half: a chunk's trials share one int64 axis,
+    # a band of longest path + 2 each, so at most about 38 trials fit a chunk.
+    # Without that bound 100 trials run in one chunk and the offsets wrap.
+    values = [6 * 10**10 + d for d in (1, 3, 7, 9)]
+    error = Fraction(4, 10) * P.quantum_length_m
+    for target, pinned in ((12 * 10**10 + 4, (32, 0, 32)), (12 * 10**10 + 5, (24, 24, 0))):
+        report = perturb_values(values, target, error, 100, seed=3)
+        assert (report.misclassified, report.false_positives, report.false_negatives) == pinned
+        with monkeypatch.context() as m:
+            m.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk_of(1, len(values)))
+            assert perturb_values(values, target, error, 100, seed=3) == report
+
+
 def test_perturbation_past_the_grid_bound_is_a_resource_limit():
     # grid times are quanta * 10^6 and stay below 2^62: four values of 3e12
     # make a longest path of 1.2e19 grid units, and a target of 5e12 a window
