@@ -1,10 +1,10 @@
 """Command-line interface.
 
-One command per run, one JSON report on stdout; human-readable tables go to
-stderr under --verbose. Exit codes: 0 YES (or plain success for commands
-without a verdict), 1 NO, 2 simulator/oracle disagreement, 3 bad input
-(usage errors included), 4 resource limit exceeded, 5 internal error (an
-unexpected exception, with its traceback on stderr; never read as a verdict).
+One command per run, one JSON report on stdout; stderr carries only error
+messages. Exit codes: 0 YES (or plain success for commands without a
+verdict), 1 NO, 2 simulator/oracle disagreement, 3 bad input (usage errors
+included), 4 resource limit exceeded, 5 internal error (an unexpected
+exception, with its traceback on stderr; never read as a verdict).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     ResourceLimit,
 )
 from .model import (
+    DeviceLayout,
     Instance,
     PhysicalParams,
     Verdict,
@@ -77,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="light speed fraction in fiber (default 1.0)")
     shared.add_argument("--slow-light", default=None, metavar="F",
                         help="additional slow-light factor applied on top")
-    shared.add_argument("--verbose", action="store_true",
-                        help="human-readable tables on stderr")
 
     parser = argparse.ArgumentParser(
         prog="lightsum",
@@ -155,9 +154,11 @@ def _emit(report: dict[str, object]) -> None:
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _vprint(args: argparse.Namespace, text: str) -> None:
-    if args.verbose:
-        sys.stderr.write(text + "\n")
+def _dump(path: str, layout: DeviceLayout) -> None:
+    # Built before the file is opened, so a ResourceLimit leaves it untouched.
+    profile = propagate(layout)
+    with _exact_ints(), open(path, "w", encoding="utf-8") as fh:
+        write_profile(profile, fh)
 
 
 def _instance_echo(instance: Instance) -> dict[str, object]:
@@ -185,10 +186,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     agreement = detection.verdict is oracle.verdict
 
     if args.dump_profile:
-        # Built before the file is opened, so a ResourceLimit leaves it untouched.
-        profile = propagate(layout)
-        with _exact_ints(), open(args.dump_profile, "w", encoding="utf-8") as fh:
-            write_profile(profile, fh)
+        _dump(args.dump_profile, layout)
 
     feasibility = None
     if args.max_cable_m is not None:
@@ -200,12 +198,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "oracle": oracle.to_json_dict(),
         "agreement": agreement,
         "feasibility": feasibility,
+        "stats": {"half_entries": [len(halves.left), len(halves.right)]},
         "timing": timing,
     })
-    _vprint(args, f"n={instance.n} B={instance.target} k={params.offset_k_quanta} "
-                  f"half_entries={len(halves.left)},{len(halves.right)}")
-    _vprint(args, f"simulator={detection.verdict.value} oracle={oracle.verdict.value} "
-                  f"({oracle.solver_name}) agreement={agreement}")
     if not agreement:
         sys.stderr.write("simulator and oracle disagree; this is a bug\n")
         return EXIT_DISAGREEMENT
@@ -232,38 +227,24 @@ def cmd_compile(args: argparse.Namespace) -> int:
         "quantum_length_m": fraction_str(params.quantum_length_m),
         "stages": stages,
     })
-    if args.verbose:
-        sys.stderr.write("stage a_i skip_quanta take_quanta skip_m take_m\n")
-        for row in stages:
-            sys.stderr.write(
-                f"{row['stage']} {row['value']} {row['skip_quanta']} "
-                f"{row['take_quanta']} {row['skip_m']} {row['take_m']}\n"
-            )
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     instance, params = _load(args)
     compile_layout(instance, params)  # the device's longest-path bound
-    report = feasibility_report(instance, params, args.max_cable_m)
-    _emit(report.to_json_dict())
-    _vprint(args, f"max encodable value: {report.max_encodable_value}")
-    _vprint(args, f"answer time: {fraction_str(report.answer_time_s)} s")
+    _emit(feasibility_report(instance, params, args.max_cable_m).to_json_dict())
     return EXIT_OK
 
 
 def cmd_demo_epsilon(args: argparse.Namespace) -> int:
     instance, params = _load(args)
-    if args.epsilon < 1:
-        raise InvalidValue("--epsilon must be >= 1")
+    # The demo compiles the epsilon layout first, so a bad --epsilon is
+    # refused before any dump is written.
     demo = epsilon_false_positive_demo(instance, args.epsilon, params)
     if args.dump_profile:
-        profile = propagate(compile_epsilon_layout(instance, args.epsilon))
-        with _exact_ints(), open(args.dump_profile, "w", encoding="utf-8") as fh:
-            write_profile(profile, fh)
+        _dump(args.dump_profile, compile_epsilon_layout(instance, args.epsilon))
     _emit(demo.to_json_dict())
-    _vprint(args, f"epsilon={demo.epsilon_verdict.value} offset={demo.offset_verdict.value} "
-                  f"oracle={demo.oracle_verdict.value} spurious={demo.epsilon_spurious}")
     return EXIT_OK if demo.offset_correct else EXIT_DISAGREEMENT
 
 
@@ -274,7 +255,6 @@ def cmd_perturb(args: argparse.Namespace) -> int:
         layout, instance, params, args.max_error_m, args.trials, args.seed
     )
     _emit(report.to_json_dict())
-    _vprint(args, f"misclassified {report.misclassified} of {report.trials} trials")
     return EXIT_OK
 
 
@@ -288,10 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ParseError, InvalidValue, Overflow, InvalidPerturbation) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ParseError, InvalidValue, Overflow, InvalidPerturbation, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     except ResourceLimit as exc:

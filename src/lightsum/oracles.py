@@ -109,12 +109,10 @@ def solve_mitm(instance: Instance) -> OracleResult:
     return OracleResult(Verdict.from_bool(yes), None, "mitm")
 
 
-def solve_auto(instance: Instance, want_witness: bool = False) -> OracleResult:
+def solve_auto(instance: Instance) -> OracleResult:
     """Pick a solver by cost: brute force when 2^n is at most the DP work n*B,
     else the DP while its table fits the budget, else meet-in-the-middle."""
     n, b = instance.n, instance.target
-    if want_witness and (b + 1) * (n + 1) <= DP_MAX_TABLE_BITS:
-        return solve_dp(instance, want_witness=True)
     if n <= BRUTE_FORCE_MAX_N and 2**n <= n * b:
         return solve_bruteforce(instance)
     if b + 1 <= DP_MAX_TABLE_BITS:

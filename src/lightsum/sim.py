@@ -128,11 +128,6 @@ class ArrivalProfile:
     def max_time(self) -> int:
         return int(self.times[-1])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArrivalProfile):
-            return NotImplemented
-        return self.stage_index == other.stage_index and self.items() == other.items()
-
 
 def _count_dtype(n: int) -> type:
     # n stages give at most 2^n rays in one slot.
@@ -230,16 +225,12 @@ def _arcs(layout: DeviceLayout) -> list[tuple[int, int]]:
     return [(s.skip_delay, s.take_delay) for s in layout.stages]
 
 
-def _split(arcs: Sequence[tuple[int, int]]) -> SplitProfile:
-    half = len(arcs) // 2
-    return SplitProfile(left=_propagate_chain(arcs[:half]), right=_propagate_chain(arcs[half:]))
-
-
 def _any_within(arcs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Whether any path of each chain in a batch arrives in [lo, hi].
 
-    Each chain is cut at its middle node, as in `_split`: a path arrives in
-    the window when some left time t has a right time in [lo - t, hi - t].
+    Each chain is cut at its middle node, as in `propagate_halves`: a path
+    arrives in the window when some left time t has a right time in
+    [lo - t, hi - t].
     Every chain's right times get a band of their own on one axis, so one
     searchsorted pair answers the whole batch; the caller keeps
     chains * band below 2^63.
@@ -315,7 +306,9 @@ def propagate_halves(layout: DeviceLayout) -> SplitProfile:
     Each half has at most 2^ceil(n/2) paths, so MAX_PROFILE_ENTRIES bounds
     each half rather than the whole device.
     """
-    return _split(_arcs(layout))
+    arcs = _arcs(layout)
+    half = len(arcs) // 2
+    return SplitProfile(left=_propagate_chain(arcs[:half]), right=_propagate_chain(arcs[half:]))
 
 
 def write_profile(profile: ArrivalProfile, fh: IO[str]) -> None:

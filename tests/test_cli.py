@@ -260,12 +260,42 @@ def test_oracle_cap_is_a_resource_error(tmp_path, capsys):
     assert "resource" in err
 
 
-def test_verbose_tables_go_to_stderr(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["compile"],
+    ["analyze"],
+    ["demo-epsilon"],
+    ["perturb", "--max-error-m", "0.00003", "--trials", "20"],
+])
+def test_stdout_holds_one_report_and_stderr_stays_empty(tmp_path, capsys, argv):
     f = write_instance(tmp_path, {"set": [1, 2, 3], "target": 5})
-    code, report, err = run(capsys, ["solve", f, "--verbose"])
-    assert code == 0
-    assert report is not None
-    assert "simulator=YES" in err
+    command, *flags = argv
+    code = cli.main([command, f, *flags])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    report = json.loads(out)  # one document, nothing before or after it
+    assert isinstance(report, dict)
+    assert err == ""
+    if command == "solve":
+        # distinct arrival times of the 1- and 2-stage halves at k = 1
+        assert report["stats"] == {"half_entries": [2, 4]}
+    # --verbose is gone: every command refuses it as a usage error
+    code = cli.main([command, f, *flags, "--verbose"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "usage" in err
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-3"])
+@pytest.mark.parametrize("dump", [False, True])
+def test_epsilon_below_one_is_an_input_error(tmp_path, capsys, epsilon, dump):
+    f = write_instance(tmp_path, {"set": [1, 2, 3], "target": 5})
+    out = tmp_path / "eps.txt"
+    flags = ["--dump-profile", str(out)] if dump else []
+    code, report, err = run(capsys, ["demo-epsilon", f, "--epsilon", epsilon, *flags])
+    assert (code, report) == (3, None)
+    assert err.startswith("error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
