@@ -147,18 +147,19 @@ def normalize(raw: RawInstance) -> Instance:
                 f"{d} normalizes to at least 10^{d.adjusted() + scale_exp}, "
                 f"past the bound of {MAX_DELAY_QUANTA} quanta"
             )
-    scale = Fraction(10) ** scale_exp
+    up, down = 10 ** max(scale_exp, 0), 10 ** max(-scale_exp, 0)
 
     def to_quanta(d: Decimal) -> int:
-        q = Fraction(d) * scale
-        if q.denominator != 1:
+        num, den = d.as_integer_ratio()
+        q, r = divmod(num * up, den * down)
+        if r:
             raise RuntimeError(f"{d} is not integral at scale 10^{scale_exp}")
-        return q.numerator
+        return q
 
     return Instance(
         values=tuple(to_quanta(d) for d in decimals),
         target=to_quanta(target_dec),
-        scale=scale,
+        scale=Fraction(10) ** scale_exp,
     )
 
 

@@ -103,9 +103,12 @@ def solve_mitm(instance: Instance) -> OracleResult:
         )
     half = instance.n // 2
     left = _all_subset_sums(instance.values[:half])
-    right = _all_subset_sums(instance.values[half:])
-    # The target is below 2^62 too, so target - left is exact in int64.
-    yes = bool(np.isin(instance.target - left, right).any())
+    right = np.sort(_all_subset_sums(instance.values[half:]))
+    # The target is below 2^62 too, so target - left is exact in int64. Sorted
+    # keys make one binary search each, resumed where the last one ended.
+    keys = np.sort(instance.target - left)
+    i = np.minimum(np.searchsorted(right, keys), len(right) - 1)
+    yes = bool((right[i] == keys).any())
     return OracleResult(Verdict.from_bool(yes), None, "mitm")
 
 

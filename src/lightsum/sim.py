@@ -14,7 +14,8 @@ each stage writes the two shifted copies, summed, into a second buffer.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
 (object dtype) take over above. Longer horizons, such as values of 10^9,
 enumerate the chain's path times, at most MAX_PROFILE_ENTRIES of them, into
-one array re-sorted per stage, and count each run of equal times in uint64.
+one array in subset order, sort it once, and count each run of equal times
+in uint64.
 Times are always int64: a layout's longest path is below
 model.MAX_DELAY_QUANTA = 2^62, and a perturbed device is checked against the
 same bound in grid units.
@@ -30,12 +31,18 @@ The solver and the epsilon demonstration read their moments this way; the
 whole profile (`propagate`) is built only to be dumped.
 
 Perturbation trials cut their chains at the same node but need no counts,
-only whether any path lands in a window. A chunk of trials draws its cable
-errors in one batch, as `random.Random.randint` draws them one by one, and
-enumerates each half's 2^stages path times at once, with the same enumerator
-run on a (trials, paths) array. Each trial's right times then take a band of
-their own on one int64 axis, so one searchsorted pair reads every trial's
-window; the chunk is kept small enough that the bands stay below 2^63.
+only whether any path lands in a window around the moment. A cable cut with
+an error of at most e moves a path by at most n*e, so before the first
+trial each half's distinct exact times are read against the other half's:
+a half-path is a candidate when some partner brings the pair within the
+window widened by n*e, and when some pair lies within the window narrowed by
+n*e every trial detects. A chunk of trials draws its cable errors in one
+batch, as `random.Random.randint` draws them one by one, and checks them.
+Unless no pair can reach the window, or some pair always does, it then
+enumerates each half's perturbed path times for the whole chunk at once,
+with the same enumerator run on a (trials, paths) array, and keeps the
+candidates. One row sort per trial, of its keys and right times together,
+reads every trial's window.
 """
 
 from __future__ import annotations
@@ -74,15 +81,17 @@ DENSE_SLOTS_PER_PATH = 4
 # trial classification is exact integer arithmetic end to end.
 PERTURB_GRID = 10**6
 
-# One perturbation trial enumerates two halves of at most 2^ceil(n/2)
-# arrivals each, plus a fixed cost: about 0.1 us a trial and 0.06 us per
-# drawn error, less than one arrival (130-200 ns each at n = 30-36) per
-# error, on a 2-vCPU VM. A run is capped at trials * (2^ceil(n/2) + 2^12)
-# arrivals. The fixed charge of 2^12 lies far above that cost, since trials
-# were dearer before they were batched and their errors drawn in bulk, and is
-# kept so that the same runs exceed the cap. From per-trial times measured
-# there at n = 0 to 36, a run at the cap comes to at most about three and a
-# half minutes (at n = 36).
+# One perturbation trial enumerates at most two halves of 2^ceil(n/2)
+# arrivals each, plus a fixed cost. Measured on a 2-vCPU VM: a trial that
+# enumerates nothing (no pair can reach the window, or one always does) costs
+# about 0.03 us plus 0.03 us per drawn error, and an enumerated arrival about
+# 11-19 ns at n = 30-40 when every half-path is a candidate. A run is capped
+# at trials * (2^ceil(n/2) + 2^12) arrivals. The fixed charge of 2^12 lies far
+# above the fixed cost, since trials were dearer before they were batched and
+# their errors drawn in bulk, and is kept so that the same runs exceed the
+# cap. From per-trial times measured there at n = 1 to 40, a run at the cap
+# comes to about half a minute at most (28 s at n = 40, where 1020 trials
+# enumerate every half-path).
 MAX_PERTURB_ARRIVALS = 1 << 30
 PERTURB_TRIAL_ARRIVALS = 1 << 12
 
@@ -154,18 +163,21 @@ def _propagate_dense(arcs: Sequence[tuple[int, int]], horizon: int) -> ArrivalPr
 
 
 def _path_times(arcs: np.ndarray) -> np.ndarray:
-    """Every path time through each of a batch of chains, sorted per chain.
+    """Every path time through each of a batch of chains, in subset order.
 
-    `arcs` has shape (chains, stages, 2); row i of the result holds the
-    2^stages path times of chain i in ascending order, equal times kept.
+    `arcs` has shape (chains, stages, 2). Entry (i, p) of the result is the
+    time of chain i's path p, which takes stage s's take arc when bit s of p
+    is set and its skip arc otherwise; equal times are kept.
     """
-    times = np.zeros((len(arcs), 1), dtype=np.int64)
-    for stage in range(arcs.shape[1]):
-        times = np.concatenate(
-            (times + arcs[:, stage, :1], times + arcs[:, stage, 1:]), axis=1
-        )
-        # Two sorted runs side by side: a stable sort merges them in linear time.
-        times.sort(axis=1, kind="stable")
+    chains, stages = arcs.shape[:2]
+    times = np.empty((chains, 1 << stages), dtype=np.int64)
+    # Path 0 skips every stage, and setting bit s adds take - skip of stage s,
+    # so every entry ever written is a path time.
+    times[:, 0] = arcs[:, :, 0].sum(axis=1)
+    steps = arcs[:, :, 1] - arcs[:, :, 0]
+    for stage in range(stages):
+        np.add(times[:, : 1 << stage], steps[:, stage, None],
+               out=times[:, 1 << stage : 2 << stage])
     return times
 
 
@@ -186,6 +198,7 @@ def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
         return _propagate_dense(arcs, horizon)
     _check_paths(len(arcs))
     times = _path_times(np.array(arcs, dtype=np.int64).reshape(1, len(arcs), 2))[0]
+    times.sort()
     starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
     counts = np.diff(starts, append=len(times)).astype(np.uint64)
     return ArrivalProfile(stage_index=len(arcs), times=times[starts], counts=counts)
@@ -225,31 +238,73 @@ def _arcs(layout: DeviceLayout) -> list[tuple[int, int]]:
     return [(s.skip_delay, s.take_delay) for s in layout.stages]
 
 
-def _any_within(arcs: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Whether any path of each chain in a batch arrives in [lo, hi].
+def _partnered(own: np.ndarray, other: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Which times t of `own` have a time of `other` in [lo - t, hi - t].
 
-    Each chain is cut at its middle node, as in `propagate_halves`: a path
-    arrives in the window when some left time t has a right time in
-    [lo - t, hi - t].
-    Every chain's right times get a band of their own on one axis, so one
-    searchsorted pair answers the whole batch; the caller keeps
-    chains * band below 2^63.
+    Both are sorted ascending, and `other` is not empty.
     """
-    half = arcs.shape[1] // 2
-    left, right = _path_times(arcs[:, :half]), _path_times(arcs[:, half:])
-    # Right times are non-negative: row i holds them in [i*band, i*band + band - 2],
-    # and a key clipped to [-1, band - 1] stays between rows i - 1 and i + 1.
-    band = int(right[:, -1].max()) + 2
-    offsets = np.arange(len(arcs), dtype=np.int64)[:, None] * band
-    axis = (right + offsets).ravel()
-    # Descending left times make ascending keys, which searchsorted answers
-    # far faster than unsorted ones.
-    backwards = left[:, ::-1]
-    start = np.searchsorted(axis, (np.clip(lo - backwards, -1, band - 1) + offsets).ravel())
-    stop = np.searchsorted(
-        axis, (np.clip(hi - backwards, -1, band - 1) + offsets).ravel(), side="right"
-    )
-    return (start < stop).reshape(left.shape).any(axis=1)
+    # Descending own times make ascending keys, which searchsorted answers far
+    # faster than unsorted ones.
+    keys = lo - own[::-1]
+    i = np.searchsorted(other, keys)
+    first = other[np.minimum(i, len(other) - 1)]
+    return ((i < len(other)) & (first <= keys + (hi - lo)))[::-1]
+
+
+def _pair_within(left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Whether each row has a left time l and a right time r with lo <= l + r <= hi.
+
+    Each row sorts its keys lo - l, as 2(lo - l), together with its right
+    times, as 2r + 1, so a key sorts before every right time at or above it
+    and after every one below it. A pair hits when r - (lo - l) <= hi - lo,
+    and the right time of least gap above its key directly follows a key:
+    a row hits when some key is directly followed by a right time within
+    2(hi - lo) + 1. In the trials times are non-negative, l + r and hi stay
+    below 2^62, and lo is negative only when no chain has a stage and every
+    time is 0; so the tagged values, and each gap from a key up to a right
+    time, fit int64.
+    """
+    merged = np.concatenate(((lo - left) * 2, right * 2 + 1), axis=1)
+    merged.sort(axis=1)
+    tags = merged & 1
+    key_then_time = tags[:, :-1] < tags[:, 1:]
+    return (key_then_time & (np.diff(merged, axis=1) <= 2 * (hi - lo) + 1)).any(axis=1)
+
+
+def _paths_at(arcs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The subset-order indices of the chain's paths whose time is in `times`.
+
+    `arcs` has shape (stages, 2) and `times` is sorted and not empty.
+    """
+    paths = _path_times(arcs[None])[0]
+    i = np.minimum(np.searchsorted(times, paths), len(times) - 1)
+    return np.flatnonzero(times[i] == paths)
+
+
+def _near_paths(
+    halves: SplitProfile, arcs: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray | None, np.ndarray | None] | None:
+    """The paths of each half that pair with a path of the other half in [lo, hi].
+
+    Decided on each half's distinct times, then mapped to the subset-order
+    indices of the half's paths (`arcs` is the whole chain's, shape (n, 2)).
+    A half keeps all its paths, None, when at least half of them qualify:
+    finding a subset costs more than so small a saving. None overall when no
+    pair is in [lo, hi].
+    """
+    left, right = halves.left, halves.right
+    near_left = _partnered(left.times, right.times, lo, hi)
+    if not near_left.any():
+        return None
+    near_right = _partnered(right.times, left.times, lo, hi)
+
+    def subset(half: ArrivalProfile, near: np.ndarray, chain: np.ndarray) -> np.ndarray | None:
+        if 2 * int(half.counts[near].sum()) >= 2**half.stage_index:
+            return None
+        return _paths_at(chain, half.times[near])
+
+    cut = left.stage_index
+    return subset(left, near_left, arcs[:cut]), subset(right, near_right, arcs[cut:])
 
 
 def _uniform_draws(rng: random.Random, span: int) -> Callable[[int], np.ndarray]:
@@ -460,12 +515,18 @@ def perturb_and_classify(
     `random.Random(rng_seed).randint` draws them, trial by trial, stage by
     stage, skip arc before take arc, whatever the chunk size.
 
-    Trials run PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time (at least
-    one), each enumerating every path time of the two halves of its perturbed
-    device. A chunk also holds at most (2^63 - 1) // (longest perturbed path
-    + 2) trials, so that its trials' bands fit one int64 axis. A half past
-    the path cap that detection checks raises
-    ResourceLimit before the first trial, as do trials * (2^ceil(n/2) +
+    A perturbed path lies within n * error of its exact time. So the run
+    first reads the exact halves' distinct times against each other: a
+    half-path is a candidate when some partner makes a pair within half a
+    quantum plus n * error of the target, and every trial detects when some
+    pair lies within half a quantum minus n * error. Trials run
+    PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time (at least one). A chunk
+    draws and checks its errors; unless some pair always detects or none can,
+    it enumerates every path time of its perturbed halves and reads the
+    window from the candidates alone.
+
+    A half past the path cap that detection checks raises ResourceLimit
+    before the first trial, as do trials * (2^ceil(n/2) +
     PERTURB_TRIAL_ARRIVALS) over MAX_PERTURB_ARRIVALS and a longest perturbed
     path or a window top that could reach MAX_DELAY_QUANTA in grid units,
     where int64 times would overflow.
@@ -500,9 +561,22 @@ def perturb_and_classify(
     _check_paths(half)
     oracle_yes = solve_auto(instance).verdict is Verdict.YES
 
-    exact_g = np.array(_arcs(layout), dtype=np.int64).reshape(n, 2) * PERTURB_GRID
-    # A chunk's trials share one int64 axis, a band of longest-path + 2 each.
-    chunk = max(1, min(PERTURB_CHUNK_ARRIVALS >> half, (2**63 - 1) // (top_g + n * err_span + 2)))
+    # A perturbed path lies within n*err_span grid units of its exact time of
+    # S quanta. It can land in the window only when |S - moment| <= near, and
+    # lands there in every trial when |S - moment| <= sure (none if negative).
+    moment = instance.target + n * params.offset_k_quanta
+    near = (window_g + n * err_span) // PERTURB_GRID
+    sure = (window_g - n * err_span) // PERTURB_GRID
+    halves = propagate_halves(layout)
+    exact = np.array(_arcs(layout), dtype=np.int64).reshape(n, 2)
+    always = sure >= 0 and bool(
+        _partnered(halves.left.times, halves.right.times, moment - sure, moment + sure).any()
+    )
+    candidates = None if always else _near_paths(halves, exact, moment - near, moment + near)
+
+    cut = n // 2
+    exact_g = exact * PERTURB_GRID
+    chunk = max(1, PERTURB_CHUNK_ARRIVALS >> half)
     draw = _uniform_draws(random.Random(rng_seed), err_span)
     detected = 0
     max_err_g = 0
@@ -518,7 +592,13 @@ def perturb_and_classify(
         # A trial's earliest and latest drift: every stage's smaller error, or larger.
         drift = np.abs((errors.min(axis=2).sum(axis=1), errors.max(axis=2).sum(axis=1)))
         max_err_g = max(max_err_g, int(drift.max()))
-        detected += int(_any_within(arcs, target_g - window_g, target_g + window_g).sum())
+        if always:
+            detected += c
+        elif candidates is not None:
+            times = (_path_times(arcs[:, :cut]), _path_times(arcs[:, cut:]))
+            left, right = (t if keep is None else t[:, keep] for t, keep in zip(times, candidates))
+            hits = _pair_within(left, right, target_g - window_g, target_g + window_g)
+            detected += int(hits.sum())
 
     # Every trial of a YES instance that detects nothing is a false negative,
     # every trial of a NO instance that detects something a false positive.

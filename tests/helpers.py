@@ -5,8 +5,9 @@ combination with itertools, so nothing here shares a code path with the
 package's bitset DP, doubling enumeration, or packed-profile propagation.
 """
 
+import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 
 def subset_sums(values):
@@ -21,3 +22,32 @@ def subset_sums(values):
 
 def has_subset_sum(values, target):
     return target in subset_sums(values)
+
+
+def perturbation_outcome(values, target, k, span, grid, trials, seed):
+    """(misclassified, false positives, false negatives, largest drift) of
+    seeded perturbation trials, or None when a drawn cable is non-positive.
+
+    Every cable of the offset device (skip k, take a + k quanta, in units of
+    quantum / grid) is cut with an error from `random.Random(seed).randint`
+    in [-span, span], trial by trial, stage by stage, skip before take. A
+    trial detects when any of its 2^n paths, summed arc by arc, lies within
+    grid // 2 of (target + n*k) * grid. The drift is the largest distance of
+    a perturbed path from its exact time, over all trials.
+    """
+    rng = random.Random(seed)
+    moment = (target + len(values) * k) * grid
+    detected = drift = 0
+    for _ in range(trials):
+        stages = []
+        for a in values:
+            exact = (k * grid, (a + k) * grid)
+            stages.append([(t, t + rng.randint(-span, span)) for t in exact])
+        if any(cut <= 0 for stage in stages for _, cut in stage):
+            return None
+        paths = list(product(*stages))
+        detected += any(abs(sum(cut for _, cut in path) - moment) <= grid // 2 for path in paths)
+        drift = max([drift] + [abs(sum(cut - t for t, cut in path)) for path in paths])
+    if has_subset_sum(values, target):
+        return (trials - detected, 0, trials - detected, drift)
+    return (detected, detected, 0, drift)

@@ -33,6 +33,23 @@ def test_normalize_divides_out_common_power_of_ten():
     assert inst.scale == Fraction(1, 100)
 
 
+@pytest.mark.parametrize("values,target,quanta,scale", [
+    # a negative scale exponent divides every number by 10^2
+    (["100", "2000"], "2100", ((1, 20), 21), Fraction(1, 100)),
+    (["1E+2", "2e3"], "2.1e3", ((1, 20), 21), Fraction(1, 100)),
+    (["100.00", "2000"], 0, ((1, 20), 0), Fraction(1, 100)),
+    # a positive one multiplies every number by 10^3
+    (["0.001", "4"], "4.001", ((1, 4000), 4001), Fraction(1000)),
+    (["1e-3", "4.000"], "4.0010", ((1, 4000), 4001), Fraction(1000)),
+    (["0.001", "4"], 0, ((1, 4000), 0), Fraction(1000)),
+])
+def test_normalize_scales_by_the_exponent_in_either_direction(values, target, quanta, scale):
+    inst = ls.normalize(ls.RawInstance.from_values(values, target))
+    assert (inst.values, inst.target) == quanta
+    assert all(type(v) is int for v in inst.values + (inst.target,))
+    assert inst.scale == scale
+
+
 def test_normalize_leaves_canonical_integers_alone():
     inst = ls.normalize(ls.RawInstance.from_values([3, 7], 10))
     assert inst.values == (3, 7)

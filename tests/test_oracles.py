@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -99,6 +100,21 @@ def test_mitm_handles_targets_too_large_for_dp():
     inst = ls.Instance.from_values([10**9, 10**9], 2 * 10**9)
     assert ls.solve_mitm(inst).verdict is ls.Verdict.YES
     assert ls.solve_auto(inst).verdict is ls.Verdict.YES
+
+
+def test_mitm_agrees_with_brute_force_up_to_twenty_values():
+    # repeated values, a target of 0, targets around the sum and past it, and
+    # odd and even n, where the halves differ in length or not
+    rng = random.Random(12)
+    for n in range(21):
+        for _ in range(4):
+            pool = [rng.randint(1, rng.choice([3, 50, 10**9])) for _ in range(rng.randint(1, 4))]
+            values = [rng.choice(pool) for _ in range(n)]
+            total = sum(values)
+            targets = {0, total, total + 1, rng.randint(0, total), rng.randint(0, total)}
+            for target in sorted(targets):
+                inst = ls.Instance.from_values(values, target)
+                assert ls.solve_mitm(inst).verdict is ls.solve_bruteforce(inst).verdict, inst
 
 
 def test_mitm_cap():

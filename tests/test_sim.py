@@ -17,7 +17,7 @@ import lightsum as ls
 from lightsum import sim
 from lightsum.rational import fraction_str
 
-from helpers import subset_sums
+from helpers import perturbation_outcome, subset_sums
 
 P = ls.PhysicalParams()
 
@@ -164,13 +164,14 @@ def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, slots_per
             horizon = sum(s.take_delay for s in layout.stages)
             for t in range(horizon + 2):
                 assert split.count_at(t) == whole.count_at(t), (layout, t)
-            # the batched window reader of the perturbation trials, on a
-            # batch of two copies of the chain
+            # the window reader of the perturbation trials, on a batch of two
+            # copies of each half's path times
             arcs = np.array([sim._arcs(layout)] * 2, dtype=np.int64).reshape(2, n, 2)
+            left, right = sim._path_times(arcs[:, : n // 2]), sim._path_times(arcs[:, n // 2 :])
             for lo in range(-2, horizon + 2, 3):
                 hi = lo + rng.randint(0, 2)
                 expected = any(whole.count_at(t) for t in range(lo, hi + 1))
-                hits = sim._any_within(arcs, lo, hi).tolist()
+                hits = sim._pair_within(left, right, lo, hi).tolist()
                 assert hits == [expected, expected], (layout, lo, hi)
 
 
@@ -419,6 +420,82 @@ def test_perturbed_profiles_share_the_map_entry_cap(monkeypatch):
         perturb_values([1, 2, 4, 8, 16, 32], 3, 0, 1, seed=0)
 
 
+def perturb_outcome(values, target, span, trials, seed, k=1):
+    """perturb_and_classify with errors of up to `span` grid units, as
+    perturbation_outcome gives it, or None when it draws a non-positive cable."""
+    params = ls.PhysicalParams(offset_k_quanta=k)
+    error = Fraction(span, sim.PERTURB_GRID) * params.quantum_length_m
+    try:
+        report = perturb_values(values, target, error, trials, seed, params)
+    except ls.InvalidPerturbation:
+        return None
+    drift = report.max_arrival_error_s * sim.PERTURB_GRID / params.delay_quantum_s
+    return report.misclassified, report.false_positives, report.false_negatives, drift
+
+
+def test_perturbation_matches_a_naive_reference_on_small_devices():
+    # up to 8 stages, repeated values, targets on, beside and away from the
+    # subset sums, and errors from 0 to 1.1 quanta, among them n * error of
+    # exactly half a quantum
+    rng = random.Random(17)
+    grid = sim.PERTURB_GRID
+    for _ in range(120):
+        n = rng.randint(0, 8)
+        pool = [rng.randint(1, rng.choice([2, 5, 30])) for _ in range(rng.randint(1, 3))]
+        values = [rng.choice(pool) for _ in range(n)]
+        near = sum(v for v in values if rng.random() < 0.5) + rng.choice([0, 0, -1, 1, 3])
+        target = max(0, near)
+        quanta = rng.choice([0, Fraction(1, 100), Fraction(1, 10), Fraction(1, 4), Fraction(2, 5),
+                             Fraction(1, 2), Fraction(7, 10), 1, Fraction(11, 10),
+                             Fraction(1, 2 * max(n, 1))])
+        span, k, seed = int(quanta * grid), rng.choice([1, 2]), rng.randrange(1000)
+        expected = perturbation_outcome(values, target, k, span, grid, 24, seed)
+        got = perturb_outcome(values, target, span, 24, seed, k)
+        assert got == expected, (values, target, quanta)
+
+
+def test_every_trial_detects_a_path_on_the_target_while_n_errors_fit_the_window():
+    # 4 stages cut within an eighth of a quantum drift by at most half a quantum
+    span = sim.PERTURB_GRID // 8
+    expected = perturbation_outcome([1, 2, 3, 4], 5, 1, span, sim.PERTURB_GRID, 200, 4)
+    assert perturb_outcome([1, 2, 3, 4], 5, span, 200, seed=4) == expected
+    assert expected[0] == 0
+
+
+# (values, target, k, span) on a coarse grid, where errors reach their bounds
+# often; the window is grid // 2 either side of the target.
+BAND_EDGES = {
+    2: [
+        # n * span is the window: the path on the target always detects, and
+        # paths one quantum (window + n * span) off sometimes do
+        ([2], 2, 3, 1),
+        ([2], 1, 3, 1),
+        # n * span is one past the window: the path on the target can miss
+        ([2], 2, 3, 2),
+    ],
+    4: [
+        ([1, 2], 1, 2, 1),
+        ([2, 2], 3, 2, 1),
+        ([2], 2, 2, 3),
+    ],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(BAND_EDGES))
+def test_perturbation_band_edges_match_the_reference(grid, monkeypatch):
+    monkeypatch.setattr(sim, "PERTURB_GRID", grid)
+    (sure, near, past) = (
+        perturbation_outcome(values, target, k, span, grid, 300, seed=9)
+        for values, target, k, span in BAND_EDGES[grid]
+    )
+    # the edges are reached: the sure band never misses, the other two
+    # sometimes do and sometimes do not
+    assert sure[0] == 0
+    assert 0 < near[0] < 300 and 0 < past[0] < 300
+    for (values, target, k, span), expected in zip(BAND_EDGES[grid], (sure, near, past)):
+        assert perturb_outcome(values, target, span, 300, 9, k) == expected
+
+
 T11 = 10**11
 
 # (misclassified, false_positives, false_negatives, max_arrival_error_s) of
@@ -525,9 +602,9 @@ def test_bulk_draws_are_the_draws_of_randint(span):
 
 
 def test_chunks_stay_within_one_int64_axis(monkeypatch):
-    # Grid times near 1.2e17 per half: a chunk's trials share one int64 axis,
-    # a band of longest path + 2 each, so at most about 38 trials fit a chunk.
-    # Without that bound 100 trials run in one chunk and the offsets wrap.
+    # Grid times near 1.2e17 per half, 100 trials in one chunk: the window
+    # reader doubles every time of a trial's row, which must stay in int64,
+    # and one trial per chunk gives the same reports.
     values = [6 * 10**10 + d for d in (1, 3, 7, 9)]
     error = Fraction(4, 10) * P.quantum_length_m
     for target, pinned in ((12 * 10**10 + 4, (32, 0, 32)), (12 * 10**10 + 5, (24, 24, 0))):
