@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InvalidValue, Overflow
 from .model import MAX_DELAY_QUANTA, Instance, PhysicalParams
-from .rational import RationalLike, fraction_str, to_fraction
+from .rational import RationalLike, to_fraction
 
 
 def max_encodable(max_cable_length_m: RationalLike, params: PhysicalParams) -> int:
@@ -101,16 +101,6 @@ class FeasibilityReport:
     answer_time_s: Fraction
     max_detectable_n: int
     required_source_power_w: Fraction
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "max_encodable_value": self.max_encodable_value,
-            "max_cable_length_m": fraction_str(self.max_cable_length_m),
-            "quantum_length_m": fraction_str(self.quantum_length_m),
-            "answer_time_s": fraction_str(self.answer_time_s),
-            "max_detectable_n": self.max_detectable_n,
-            "required_source_power_w": fraction_str(self.required_source_power_w),
-        }
 
 
 def feasibility_report(

@@ -16,7 +16,8 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
 from typing import Iterator
 
 from .analysis import feasibility_report, slow_light_rescale
@@ -38,7 +39,7 @@ from .model import (
     load_instance_file,
     normalize,
 )
-from .oracles import OracleResult, solve_auto, solve_bruteforce, solve_dp, solve_mitm
+from .oracles import solve_auto, solve_bruteforce, solve_dp, solve_mitm
 from .rational import fraction_str, to_fraction
 from .sim import (
     detect,
@@ -55,6 +56,10 @@ EXIT_DISAGREEMENT = 2
 EXIT_INPUT_ERROR = 3
 EXIT_RESOURCE_ERROR = 4
 EXIT_INTERNAL_ERROR = 5
+
+# Rendering an exact number takes time quadratic in its length: the longest a
+# report accepts, about 242 000 digits, takes about 1.1 s on a 2-vCPU VM.
+MAX_REPORT_DIGITS = 250_000
 
 ORACLES = {
     "dp": solve_dp,
@@ -149,9 +154,33 @@ def _exact_ints() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def _emit(report: dict[str, object]) -> None:
+def _check_length(x: int | Fraction) -> None:
+    # At least len(fraction_str(x)): digits(p) <= bits(p) * 0.302 + 1, the
+    # denominator or the decimal places it makes take at most bits(q) digits,
+    # then a sign and "." or "/".
+    length = abs(x.numerator).bit_length() * 31 // 100 + x.denominator.bit_length() + 3
+    if length > MAX_REPORT_DIGITS:
+        raise ResourceLimit(f"a report number may take {length} digits, past {MAX_REPORT_DIGITS}")
+
+
+def _encode(obj: object) -> object:
+    """json.dumps' hook: a Fraction becomes its fraction_str, a dataclass the
+    dict of its fields. A number that might render past MAX_REPORT_DIGITS
+    raises ResourceLimit before it is rendered."""
+    if isinstance(obj, Fraction):
+        _check_length(obj)
+        return fraction_str(obj)
+    doc = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    for value in doc.values():
+        if isinstance(value, int):
+            _check_length(value)
+    return doc
+
+
+def _render(report: object) -> str:
+    """The whole report as JSON, built before any output is written."""
     with _exact_ints():
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n"
 
 
 def _dump(path: str, layout: DeviceLayout) -> None:
@@ -159,14 +188,6 @@ def _dump(path: str, layout: DeviceLayout) -> None:
     profile = propagate(layout)
     with _exact_ints(), open(path, "w", encoding="utf-8") as fh:
         write_profile(profile, fh)
-
-
-def _instance_echo(instance: Instance) -> dict[str, object]:
-    return {
-        "values": list(instance.values),
-        "target": instance.target,
-        "scale": fraction_str(instance.scale),
-    }
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -182,25 +203,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
     layout = timed("compile", compile_layout, instance, params)
     halves = timed("propagate", propagate_halves, layout)
     detection = timed("detect", detect, halves, instance, params)
-    oracle: OracleResult = timed("oracle", ORACLES[args.oracle], instance)
+    oracle = timed("oracle", ORACLES[args.oracle], instance)
     agreement = detection.verdict is oracle.verdict
-
-    if args.dump_profile:
-        _dump(args.dump_profile, layout)
-
     feasibility = None
     if args.max_cable_m is not None:
-        feasibility = feasibility_report(instance, params, args.max_cable_m).to_json_dict()
-
-    _emit({
-        "instance_echo": _instance_echo(instance),
-        "simulator": detection.to_json_dict(),
-        "oracle": oracle.to_json_dict(),
+        feasibility = feasibility_report(instance, params, args.max_cable_m)
+    report = _render({
+        "instance_echo": instance,
+        "simulator": detection,
+        "oracle": oracle,
         "agreement": agreement,
         "feasibility": feasibility,
         "stats": {"half_entries": [len(halves.left), len(halves.right)]},
         "timing": timing,
     })
+    if args.dump_profile:
+        _dump(args.dump_profile, layout)
+    sys.stdout.write(report)
     if not agreement:
         sys.stderr.write("simulator and oracle disagree; this is a bug\n")
         return EXIT_DISAGREEMENT
@@ -218,22 +237,22 @@ def cmd_compile(args: argparse.Namespace) -> int:
             "value": stage.value,
             "skip_quanta": stage.skip_delay,
             "take_quanta": stage.take_delay,
-            "skip_m": fraction_str(lengths[2 * i]),
-            "take_m": fraction_str(lengths[2 * i + 1]),
+            "skip_m": lengths[2 * i],
+            "take_m": lengths[2 * i + 1],
         })
-    _emit({
-        "instance_echo": _instance_echo(instance),
+    sys.stdout.write(_render({
+        "instance_echo": instance,
         "node_count": layout.node_count,
-        "quantum_length_m": fraction_str(params.quantum_length_m),
+        "quantum_length_m": params.quantum_length_m,
         "stages": stages,
-    })
+    }))
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     instance, params = _load(args)
     compile_layout(instance, params)  # the device's longest-path bound
-    _emit(feasibility_report(instance, params, args.max_cable_m).to_json_dict())
+    sys.stdout.write(_render(feasibility_report(instance, params, args.max_cable_m)))
     return EXIT_OK
 
 
@@ -242,9 +261,10 @@ def cmd_demo_epsilon(args: argparse.Namespace) -> int:
     # The demo compiles the epsilon layout first, so a bad --epsilon is
     # refused before any dump is written.
     demo = epsilon_false_positive_demo(instance, args.epsilon, params)
+    report = _render(demo)
     if args.dump_profile:
         _dump(args.dump_profile, compile_epsilon_layout(instance, args.epsilon))
-    _emit(demo.to_json_dict())
+    sys.stdout.write(report)
     return EXIT_OK if demo.offset_correct else EXIT_DISAGREEMENT
 
 
@@ -254,7 +274,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     report = perturb_and_classify(
         layout, instance, params, args.max_error_m, args.trials, args.seed
     )
-    _emit(report.to_json_dict())
+    sys.stdout.write(_render(report))
     return EXIT_OK
 
 

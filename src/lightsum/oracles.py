@@ -30,13 +30,6 @@ class OracleResult:
     witness: tuple[int, ...] | None
     solver_name: str
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "verdict": self.verdict.value,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "solver_name": self.solver_name,
-        }
-
 
 def solve_dp(instance: Instance, want_witness: bool = False) -> OracleResult:
     """Reachability DP over sums 0..B, one bit per sum.

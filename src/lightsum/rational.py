@@ -15,6 +15,7 @@ as well.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -77,18 +78,16 @@ def fraction_str(f: Fraction) -> str:
     if f.denominator == 1:
         return _digits(f.numerator)
     den = f.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
+    # den = 2^twos * odd, and the decimal is finite iff odd = 5^fives. A power
+    # 5^b has floor(b * log2(5)) + 1 bits, so bits / log2(5) rounds to b.
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    fives = round(odd.bit_length() / math.log2(5))
+    if 5**fives != odd:
+        return f"{_digits(f.numerator)}/{_digits(den)}"
     digits = max(twos, fives)
-    scaled = abs(f.numerator) * 10**digits // f.denominator
+    # |f| * 10^digits, by multiplying with 10^digits / den
+    scaled = (abs(f.numerator) << (digits - twos)) * 5 ** (digits - fives)
     text = _digits(scaled).rjust(digits + 1, "0")
     sign = "-" if f.numerator < 0 else ""
     return f"{sign}{text[:-digits]}.{text[-digits:]}"

@@ -66,7 +66,7 @@ from .model import (
     compile_layout,
 )
 from .oracles import solve_auto
-from .rational import RationalLike, fraction_str, to_fraction
+from .rational import RationalLike, to_fraction
 
 # A dense chain holds this many time slots at most (32 MiB as uint64), and an
 # enumerated chain, or a perturbed half, this many path times.
@@ -383,16 +383,6 @@ class DetectionReport:
     amplified_power_w: Fraction
     detectable: bool
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "verdict": self.verdict.value,
-            "checked_moment": self.checked_moment,
-            "ray_count_at_moment": self.ray_count_at_moment,
-            "per_ray_power_w": fraction_str(self.per_ray_power_w),
-            "amplified_power_w": fraction_str(self.amplified_power_w),
-            "detectable": self.detectable,
-        }
-
 
 def detect(
     profile: ArrivalProfile | SplitProfile, instance: Instance, params: PhysicalParams
@@ -430,25 +420,9 @@ class EpsilonDemoReport:
     oracle_verdict: Verdict
     epsilon_checked_moment: int
     offset_checked_moment: int
-
-    @property
-    def epsilon_spurious(self) -> bool:
-        return self.epsilon_verdict != self.oracle_verdict
-
-    @property
-    def offset_correct(self) -> bool:
-        return self.offset_verdict == self.oracle_verdict
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "epsilon_verdict": self.epsilon_verdict.value,
-            "offset_verdict": self.offset_verdict.value,
-            "oracle_verdict": self.oracle_verdict.value,
-            "epsilon_checked_moment": self.epsilon_checked_moment,
-            "offset_checked_moment": self.offset_checked_moment,
-            "epsilon_spurious": self.epsilon_spurious,
-            "offset_correct": self.offset_correct,
-        }
+    # epsilon_verdict differs from the oracle's; offset_verdict matches it
+    epsilon_spurious: bool
+    offset_correct: bool
 
 
 def epsilon_false_positive_demo(
@@ -465,12 +439,15 @@ def epsilon_false_positive_demo(
     eps_halves = propagate_halves(compile_epsilon_layout(instance, epsilon))
     offset_report = detect(propagate_halves(compile_layout(instance, params)), instance, params)
     oracle = solve_auto(instance)
+    epsilon_verdict = Verdict.from_bool(eps_halves.count_at(instance.target) >= 1)
     return EpsilonDemoReport(
-        epsilon_verdict=Verdict.from_bool(eps_halves.count_at(instance.target) >= 1),
+        epsilon_verdict=epsilon_verdict,
         offset_verdict=offset_report.verdict,
         oracle_verdict=oracle.verdict,
         epsilon_checked_moment=instance.target,
         offset_checked_moment=offset_report.checked_moment,
+        epsilon_spurious=epsilon_verdict is not oracle.verdict,
+        offset_correct=offset_report.verdict is oracle.verdict,
     )
 
 
@@ -483,15 +460,6 @@ class PerturbationReport:
     false_positives: int
     false_negatives: int
     max_arrival_error_s: Fraction
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "trials": self.trials,
-            "misclassified": self.misclassified,
-            "false_positives": self.false_positives,
-            "false_negatives": self.false_negatives,
-            "max_arrival_error_s": fraction_str(self.max_arrival_error_s),
-        }
 
 
 def perturb_and_classify(

@@ -9,8 +9,11 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lightsum as ls
 from lightsum import cli, model, sim
@@ -76,6 +79,84 @@ def test_solve_reports_are_deterministic_apart_from_timing(tmp_path, capsys):
     first.pop("timing")
     second.pop("timing")
     assert first == second
+
+
+# Every command's whole report on one decimal instance, timing aside. With a
+# splitter transmission of 0.3 the required source power has no finite decimal.
+GOLDEN_INSTANCE = {
+    "set": ["0.5", "1.25", "2"], "target": "2.5", "params": {"splitter_transmission": "0.3"},
+}
+GOLDEN_ECHO = {"scale": "100", "target": 250, "values": [50, 125, 200]}
+GOLDEN_FEASIBILITY = {
+    "answer_time_s": "0.000000000253",
+    "max_cable_length_m": "3000",
+    "max_detectable_n": 20,
+    "max_encodable_value": 10000000,
+    "quantum_length_m": "0.0003",
+    "required_source_power_w": "1/337500000000000",
+}
+GOLDEN_REPORTS = [
+    (["solve", "--max-cable-m", "3000"], {
+        "agreement": True,
+        "feasibility": GOLDEN_FEASIBILITY,
+        "instance_echo": GOLDEN_ECHO,
+        "oracle": {"solver_name": "bruteforce", "verdict": "YES", "witness": None},
+        "simulator": {
+            "amplified_power_w": "337500",
+            "checked_moment": 253,
+            "detectable": True,
+            "per_ray_power_w": "0.003375",
+            "ray_count_at_moment": 1,
+            "verdict": "YES",
+        },
+        "stats": {"half_entries": [2, 4]},
+    }),
+    (["compile"], {
+        "instance_echo": GOLDEN_ECHO,
+        "node_count": 4,
+        "quantum_length_m": "0.0003",
+        "stages": [
+            {"skip_m": "0.0003", "skip_quanta": 1, "stage": 0, "take_m": "0.0153",
+             "take_quanta": 51, "value": 50},
+            {"skip_m": "0.0003", "skip_quanta": 1, "stage": 1, "take_m": "0.0378",
+             "take_quanta": 126, "value": 125},
+            {"skip_m": "0.0003", "skip_quanta": 1, "stage": 2, "take_m": "0.0603",
+             "take_quanta": 201, "value": 200},
+        ],
+    }),
+    (["analyze"], GOLDEN_FEASIBILITY),
+    (["demo-epsilon"], {
+        "epsilon_checked_moment": 250,
+        "epsilon_spurious": True,
+        "epsilon_verdict": "NO",
+        "offset_checked_moment": 253,
+        "offset_correct": True,
+        "offset_verdict": "YES",
+        "oracle_verdict": "YES",
+    }),
+    (["perturb", "--max-error-m", "0.00003", "--trials", "200", "--seed", "7"], {
+        "false_negatives": 0,
+        "false_positives": 0,
+        "max_arrival_error_s": "0.000000000000286385",
+        "misclassified": 0,
+        "trials": 200,
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_REPORTS,
+                         ids=[argv[0] for argv, _ in GOLDEN_REPORTS])
+def test_golden_reports(tmp_path, capsys, argv, expected):
+    f = write_instance(tmp_path, GOLDEN_INSTANCE)
+    command, *flags = argv
+    code = cli.main([command, f, *flags])
+    out = capsys.readouterr().out
+    assert code == 0
+    report = json.loads(out)
+    # two-space indents and sorted keys, timing included
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    report.pop("timing", None)
+    assert report == expected
 
 
 def test_solve_oracle_flag(tmp_path, capsys):
@@ -367,6 +448,34 @@ def test_reports_render_numbers_longer_than_str_allows(tmp_path, capsys):
     assert Fraction(Decimal(power)) == (Fraction(Decimal(t)) / 2) ** 5
 
 
+def test_report_numbers_past_the_digit_bound_are_a_resource_limit(tmp_path, capsys):
+    # per_ray_power_w of 80 stages has 80 080 decimal places, 266 000 bits
+    # in its denominator; required_source_power_w of 1000 stages has a
+    # numerator of a million digits. Both are refused without rendering them.
+    for n, command in ((80, "solve"), (1000, "analyze")):
+        f = write_instance(tmp_path, {
+            "set": [1] * n, "target": n // 2, "params": {"splitter_transmission": "1e-1000"},
+        })
+        code, report, err = run(capsys, [command, f])
+        assert (code, report) == (4, None), command
+        assert f"past {cli.MAX_REPORT_DIGITS}" in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**90, 10**90) | st.integers(1, 6000).map(lambda k: 10**k - 1),
+       st.integers(0, 400), st.integers(0, 400), st.sampled_from([1, 3, 7, 1001]))
+def test_every_number_rendered_past_the_digit_bound_is_refused(numerator, twos, fives, odd):
+    x = Fraction(numerator, 2**twos * 5**fives * odd)
+    assert cli._render(x) == f'"{fraction_str(x)}"\n'
+    # json renders a report's int fields itself
+    report = ls.PerturbationReport(numerator, 0, 0, 0, Fraction(0))
+    int_length = len(cli._render(numerator)) - 1
+    for obj, length in ((x, len(fraction_str(x))), (report, int_length)):
+        with mock.patch.object(cli, "MAX_REPORT_DIGITS", length - 1), \
+                pytest.raises(ls.ResourceLimit):
+            cli._render(obj)
+
+
 def test_perturb_error_finer_than_the_grid_is_an_input_error(tmp_path, capsys):
     f = write_instance(tmp_path, {"set": [3, 5, 7], "target": 8})
     code, report, err = run(capsys, ["perturb", f, "--max-error-m", "1e-10"])
@@ -456,13 +565,25 @@ def test_failed_dump_leaves_the_file_untouched(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sim, "DENSE_SLOTS_PER_PATH", 0)
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
     f = write_instance(tmp_path, {"set": [1, 2, 4, 8, 16, 32], "target": 5})
+    # a whole profile of 8 paths fits, but the report fails first
+    small = write_instance(tmp_path, {"set": [1, 2, 3], "target": 5}, "small.json")
+    long_power = write_instance(tmp_path, {
+        "set": [1, 2, 3], "target": 5, "params": {"splitter_transmission": "1e-1000"},
+    }, "long.json")
+    monkeypatch.setattr(cli, "MAX_REPORT_DIGITS", 1000)
     out = tmp_path / "profile.txt"
     out.write_text("earlier dump\n", encoding="utf-8")
-    for argv in (["solve", f], ["demo-epsilon", f]):
+    for argv, expected, message in (
+        (["solve", f], 4, "resource limit"),
+        (["demo-epsilon", f], 4, "resource limit"),
+        (["solve", small, "--max-cable-m", "-1"], 3, "must be positive"),
+        (["solve", small, "--max-cable-m", "1e40"], 3, "quanta or more"),
+        (["solve", long_power], 4, "digits"),
+    ):
         code, report, err = run(capsys, [*argv, "--dump-profile", str(out)])
-        assert (code, report) == (4, None), argv
-        assert "resource limit" in err
-        assert out.read_text(encoding="utf-8") == "earlier dump\n"
+        assert (code, report) == (expected, None), argv
+        assert message in err, argv
+        assert out.read_text(encoding="utf-8") == "earlier dump\n", argv
 
 
 def test_solve_refuses_long_halves_by_their_path_count(tmp_path, capsys, monkeypatch):
