@@ -12,10 +12,10 @@ is at most DENSE_SLOTS_PER_PATH slots per path (2^stages paths) and fits
 MAX_PROFILE_ENTRIES, it runs on one dense count array of horizon + 1 slots;
 each stage writes the two shifted copies, summed, into a second buffer.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
-(object dtype) take over above. Longer horizons, such as values of 10^9,
-enumerate the chain's path times, at most MAX_PROFILE_ENTRIES of them, into
-one array in subset order, sort it once, and count each run of equal times
-in uint64.
+(object dtype), capped by MAX_DENSE_WORD_ADDITIONS, take over above. Longer
+horizons, such as values of 10^9, enumerate the chain's path times, at most
+MAX_PROFILE_ENTRIES of them, into one array in subset order, sort it once,
+and count each run of equal times in uint64.
 Times are always int64: a layout's longest path is below
 model.MAX_DELAY_QUANTA = 2^62, and a perturbed device is checked against the
 same bound in grid units.
@@ -30,19 +30,18 @@ half holds at most 2^ceil(n/2) arrival times, and the caps apply per half.
 The solver and the epsilon demonstration read their moments this way; the
 whole profile (`propagate`) is built only to be dumped.
 
-Perturbation trials cut their chains at the same node but need no counts,
-only whether any path lands in a window around the moment. A cable cut with
-an error of at most e moves a path by at most n*e, so before the first
-trial each half's distinct exact times are read against the other half's:
-a half-path is a candidate when some partner brings the pair within the
-window widened by n*e, and when some pair lies within the window narrowed by
-n*e every trial detects. A chunk of trials draws its cable errors in one
-batch, as `random.Random.randint` draws them one by one, and checks them.
-Unless no pair can reach the window, or some pair always does, it then
-enumerates each half's perturbed path times for the whole chunk at once,
-with the same enumerator run on a (trials, paths) array, and keeps the
-candidates. One row sort per trial, of its keys and right times together,
-reads every trial's window.
+Perturbation trials cut their chains at the same node but count no rays, so
+they run on path-time arrays alone. A cable cut with an error of at most e
+moves a path by at most n*e, so before the first trial each half's exact path
+times are enumerated and sorted once, and their distinct values read against
+the other half's: every trial detects when some pair lies within the window
+narrowed by n*e, none can when no pair lies within the window widened by n*e,
+and otherwise a half-path is a candidate when some partner brings the pair
+within the widened window. A chunk of trials draws its cable errors in one
+batch, as `random.Random.randint` draws them one by one. Unless the exact
+pairs decide every trial, it enumerates each half's perturbed path times for
+the whole chunk at once, with the same enumerator run on a (trials, paths)
+array, keeps the candidates, and reads every trial's window with one row sort.
 """
 
 from __future__ import annotations
@@ -76,6 +75,14 @@ MAX_PROFILE_ENTRIES = 1 << 22
 # sort step per path; past 4 slots per path the enumerator was faster on a
 # 2-vCPU VM at 13 stages and more (at 16, from about 2 slots per path).
 DENSE_SLOTS_PER_PATH = 4
+
+# A dense chain of s stages over h slots adds s * (h + 1) counts of ceil(s/64)
+# words each. Past 63 stages they are Python ints, added at 1.3-1.8e9 words a
+# second on a 2-vCPU VM (2200 stages over 4401 slots in 0.26 s, 4400 over 8801
+# in 1.5 s, 6000 over 12 001 in 3.7 s): a chain at the cap takes about 6 s, a
+# `solve` of two such halves 12 s, and 20 000 unit values, halves of 3.1e10
+# word additions, exit 4 before propagating.
+MAX_DENSE_WORD_ADDITIONS = 1 << 33
 
 # Perturbed cable lengths live on a grid of quantum_length / PERTURB_GRID so
 # trial classification is exact integer arithmetic end to end.
@@ -194,14 +201,21 @@ def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
     # Dense while the horizon is short next to the 2^stages paths, else every
     # path time is enumerated and each run of equal times counted.
     horizon = sum(max(arc) for arc in arcs)
-    if horizon + 1 <= min(MAX_PROFILE_ENTRIES, DENSE_SLOTS_PER_PATH << len(arcs)):
+    stages = len(arcs)
+    if horizon + 1 <= min(MAX_PROFILE_ENTRIES, DENSE_SLOTS_PER_PATH << stages):
+        additions = stages * (horizon + 1) * -(-stages // 64)
+        if additions > MAX_DENSE_WORD_ADDITIONS:
+            raise ResourceLimit(
+                f"a dense chain of {stages} stages over {horizon + 1} slots takes "
+                f"{additions} word additions, past the cap of {MAX_DENSE_WORD_ADDITIONS}"
+            )
         return _propagate_dense(arcs, horizon)
-    _check_paths(len(arcs))
-    times = _path_times(np.array(arcs, dtype=np.int64).reshape(1, len(arcs), 2))[0]
+    _check_paths(stages)
+    times = _path_times(np.array(arcs, dtype=np.int64).reshape(1, stages, 2))[0]
     times.sort()
     starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
     counts = np.diff(starts, append=len(times)).astype(np.uint64)
-    return ArrivalProfile(stage_index=len(arcs), times=times[starts], counts=counts)
+    return ArrivalProfile(stage_index=stages, times=times[starts], counts=counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,40 +285,17 @@ def _pair_within(left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> np.nd
     return (key_then_time & (np.diff(merged, axis=1) <= 2 * (hi - lo) + 1)).any(axis=1)
 
 
-def _paths_at(arcs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The subset-order indices of the chain's paths whose time is in `times`.
+def _candidates(paths: np.ndarray, ordered: np.ndarray, times: np.ndarray) -> np.ndarray | None:
+    """The indices of the `paths` whose time is in `times` (sorted, not empty).
 
-    `arcs` has shape (stages, 2) and `times` is sorted and not empty.
+    `ordered` is `paths` sorted. None when at least half of the paths qualify:
+    finding a subset costs more than so small a saving.
     """
-    paths = _path_times(arcs[None])[0]
+    qualify = np.searchsorted(ordered, times, "right") - np.searchsorted(ordered, times)
+    if 2 * int(qualify.sum()) >= len(paths):
+        return None
     i = np.minimum(np.searchsorted(times, paths), len(times) - 1)
     return np.flatnonzero(times[i] == paths)
-
-
-def _near_paths(
-    halves: SplitProfile, arcs: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray | None, np.ndarray | None] | None:
-    """The paths of each half that pair with a path of the other half in [lo, hi].
-
-    Decided on each half's distinct times, then mapped to the subset-order
-    indices of the half's paths (`arcs` is the whole chain's, shape (n, 2)).
-    A half keeps all its paths, None, when at least half of them qualify:
-    finding a subset costs more than so small a saving. None overall when no
-    pair is in [lo, hi].
-    """
-    left, right = halves.left, halves.right
-    near_left = _partnered(left.times, right.times, lo, hi)
-    if not near_left.any():
-        return None
-    near_right = _partnered(right.times, left.times, lo, hi)
-
-    def subset(half: ArrivalProfile, near: np.ndarray, chain: np.ndarray) -> np.ndarray | None:
-        if 2 * int(half.counts[near].sum()) >= 2**half.stage_index:
-            return None
-        return _paths_at(chain, half.times[near])
-
-    cut = left.stage_index
-    return subset(left, near_left, arcs[:cut]), subset(right, near_right, arcs[cut:])
 
 
 def _uniform_draws(rng: random.Random, span: int) -> Callable[[int], np.ndarray]:
@@ -484,10 +475,11 @@ def perturb_and_classify(
     stage, skip arc before take arc, whatever the chunk size.
 
     A perturbed path lies within n * error of its exact time. So the run
-    first reads the exact halves' distinct times against each other: a
-    half-path is a candidate when some partner makes a pair within half a
-    quantum plus n * error of the target, and every trial detects when some
-    pair lies within half a quantum minus n * error. Trials run
+    first enumerates and sorts each half's exact path times, and reads their
+    distinct values against each other: every trial detects when some pair
+    lies within half a quantum minus n * error of the target, and a half-path
+    is a candidate when some partner makes a pair within half a quantum plus
+    n * error. Trials run
     PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time (at least one). A chunk
     draws and checks its errors; unless some pair always detects or none can,
     it enumerates every path time of its perturbed halves and reads the
@@ -535,14 +527,21 @@ def perturb_and_classify(
     moment = instance.target + n * params.offset_k_quanta
     near = (window_g + n * err_span) // PERTURB_GRID
     sure = (window_g - n * err_span) // PERTURB_GRID
-    halves = propagate_halves(layout)
-    exact = np.array(_arcs(layout), dtype=np.int64).reshape(n, 2)
-    always = sure >= 0 and bool(
-        _partnered(halves.left.times, halves.right.times, moment - sure, moment + sure).any()
-    )
-    candidates = None if always else _near_paths(halves, exact, moment - near, moment + near)
-
+    # Each half's exact path times in subset order, sorted, and distinct.
     cut = n // 2
+    exact = np.array(_arcs(layout), dtype=np.int64).reshape(n, 2)
+    paths = (_path_times(exact[None, :cut])[0], _path_times(exact[None, cut:])[0])
+    ordered = [np.sort(p) for p in paths]
+    left, right = (t[np.concatenate(([True], t[1:] != t[:-1]))] for t in ordered)
+    always = sure >= 0 and bool(_partnered(left, right, moment - sure, moment + sure).any())
+    candidates = None
+    if not always:
+        near_left = _partnered(left, right, moment - near, moment + near)
+        if near_left.any():
+            near_right = _partnered(right, left, moment - near, moment + near)
+            candidates = (_candidates(paths[0], ordered[0], left[near_left]),
+                          _candidates(paths[1], ordered[1], right[near_right]))
+
     exact_g = exact * PERTURB_GRID
     chunk = max(1, PERTURB_CHUNK_ARRIVALS >> half)
     draw = _uniform_draws(random.Random(rng_seed), err_span)

@@ -596,6 +596,19 @@ def test_solve_refuses_long_halves_by_their_path_count(tmp_path, capsys, monkeyp
     assert "2^4 paths" in err
 
 
+def test_solve_refuses_long_dense_chains_before_propagating(tmp_path, capsys, monkeypatch):
+    # each half of 20 000 unit values adds Python-int counts over 20 001
+    # slots at each of its 10 000 stages: 3.1e10 word additions, tens of seconds
+    def propagated(*args):
+        raise AssertionError("a dense chain past the cap was propagated")
+
+    monkeypatch.setattr(sim, "_propagate_dense", propagated)
+    f = write_instance(tmp_path, {"set": [1] * 20000, "target": 10000})
+    code, report, err = run(capsys, ["solve", f])
+    assert (code, report) == (4, None)
+    assert "word additions" in err
+
+
 @pytest.fixture
 def int_digit_limit_640():
     """The interpreter's int-to-str digit limit, lowered to 640 digits."""

@@ -452,6 +452,17 @@ def test_perturbation_matches_a_naive_reference_on_small_devices():
         expected = perturbation_outcome(values, target, k, span, grid, 24, seed)
         got = perturb_outcome(values, target, span, 24, seed, k)
         assert got == expected, (values, target, quanta)
+    # 9 or 10 values to 1000 make few pairs near a target on or beside a
+    # subset sum, so each half reads only some of its paths in every trial
+    rng = random.Random(23)
+    for _ in range(12):
+        values = [rng.randint(1, 1000) for _ in range(rng.randint(9, 10))]
+        target = max(0, sum(v for v in values if rng.random() < 0.5) + rng.choice([0, 0, 1, -2]))
+        quanta = rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)])
+        span, seed = int(quanta * grid), rng.randrange(1000)
+        expected = perturbation_outcome(values, target, 1, span, grid, 24, seed)
+        got = perturb_outcome(values, target, span, 24, seed)
+        assert got == expected, (values, target, quanta)
 
 
 def test_every_trial_detects_a_path_on_the_target_while_n_errors_fit_the_window():
