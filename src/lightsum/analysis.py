@@ -48,15 +48,22 @@ def max_detectable_n(params: PhysicalParams) -> int:
     """Largest n whose worst case (a single ray) still clears the threshold.
 
     Conservative: coincident rays only add power. Returns 0 when even the
-    unsplit beam is below threshold.
+    unsplit beam is below threshold. The comparison gain * source * (p/q)^n
+    >= threshold, with p/q = transmission/2, is cross-multiplied once into
+    lhs * p^n >= rhs * q^n, so each stage costs two integer products.
     """
-    if params.detection_threshold_w <= 0:
+    threshold = params.detection_threshold_w
+    if threshold <= 0:
         raise InvalidValue("detection_threshold_w must be > 0 for this bound")
     amplified = params.detector_gain * params.source_power_w
-    ratio = params.splitter_transmission / 2
+    lhs = amplified.numerator * threshold.denominator
+    rhs = threshold.numerator * amplified.denominator
+    p = params.splitter_transmission.numerator
+    q = 2 * params.splitter_transmission.denominator
     n = 0
-    while amplified * ratio >= params.detection_threshold_w:
-        amplified *= ratio
+    while lhs * p >= rhs * q:
+        lhs *= p
+        rhs *= q
         n += 1
     return n
 

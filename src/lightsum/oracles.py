@@ -34,10 +34,14 @@ class OracleResult:
 def solve_dp(instance: Instance, want_witness: bool = False) -> OracleResult:
     """Reachability DP over sums 0..B, one bit per sum.
 
-    The table is a single big integer; witness extraction keeps one snapshot
-    per element and backtracks, so it multiplies the memory bound by n. A
-    value above B is in no subset that sums to B, so it leaves the table as
-    it is (shifting by it would build an integer of about that many bits).
+    The table is a single big integer, masked to bits 0..B. A value above B
+    is in no subset that sums to B, so it leaves the table as it is
+    (shifting by it would build an integer of about that many bits). The
+    verdict alone shifts by the values smallest first, so the table grows
+    only as wide as the sum of the values taken so far, and stops as soon as
+    bit B is set: the mask makes that bit the table's top, so the bit length
+    tells. Witness extraction keeps index order and one snapshot per
+    element, and backtracks, so it multiplies the memory bound by n.
     """
     b = instance.target
     rows = instance.n + 1 if want_witness else 1
@@ -47,26 +51,29 @@ def solve_dp(instance: Instance, want_witness: bool = False) -> OracleResult:
         )
     mask = (1 << (b + 1)) - 1
     reach = 1
+    if not want_witness:
+        for a in sorted(instance.values):
+            if reach.bit_length() > b or a > b:
+                break
+            reach = (reach | (reach << a)) & mask
+        return OracleResult(Verdict.from_bool(reach.bit_length() > b), None, "dp")
+
     snapshots = [reach]
     for a in instance.values:
         if a <= b:
             reach = (reach | (reach << a)) & mask
-        if want_witness:
-            snapshots.append(reach)
-    yes = bool((reach >> b) & 1)
-
-    witness: tuple[int, ...] | None = None
-    if yes and want_witness:
-        picked = []
-        s = b
-        for i in range(instance.n - 1, -1, -1):
-            if not (snapshots[i] >> s) & 1:
-                picked.append(i)
-                s -= instance.values[i]
-        if s != 0:
-            raise RuntimeError(f"witness sums to the target minus {s}")
-        witness = tuple(reversed(picked))
-    return OracleResult(Verdict.from_bool(yes), witness, "dp")
+        snapshots.append(reach)
+    if not (reach >> b) & 1:
+        return OracleResult(Verdict.NO, None, "dp")
+    picked = []
+    s = b
+    for i in range(instance.n - 1, -1, -1):
+        if not (snapshots[i] >> s) & 1:
+            picked.append(i)
+            s -= instance.values[i]
+    if s != 0:
+        raise RuntimeError(f"witness sums to the target minus {s}")
+    return OracleResult(Verdict.YES, tuple(reversed(picked)), "dp")
 
 
 def _all_subset_sums(values: tuple[int, ...]) -> np.ndarray:

@@ -94,6 +94,36 @@ def test_max_detectable_n_zero_when_nothing_is_detectable():
     assert ls.max_detectable_n(params) == 0
 
 
+def _detectable_n_by_fractions(params):
+    """The Fraction loop max_detectable_n once ran, kept as its reference."""
+    amplified = params.detector_gain * params.source_power_w
+    ratio = params.splitter_transmission / 2
+    n = 0
+    while amplified * ratio >= params.detection_threshold_w:
+        amplified *= ratio
+        n += 1
+    return n
+
+
+positive = st.fractions(min_value="1/1000000", max_value=10**12, max_denominator=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gain=positive, source=positive, threshold=positive,
+       trans=st.fractions(min_value="1/1000", max_value=1, max_denominator=10**4),
+       exact_at=st.none() | st.integers(0, 60))
+def test_max_detectable_n_matches_the_fraction_loop(gain, source, threshold, trans, exact_at):
+    if exact_at is not None:
+        # A single ray meets the threshold exactly after exact_at stages.
+        threshold = gain * source * (trans / 2) ** exact_at
+    params = ls.PhysicalParams(detector_gain=gain, source_power_w=source,
+                               splitter_transmission=trans, detection_threshold_w=threshold)
+    n = ls.max_detectable_n(params)
+    assert n == _detectable_n_by_fractions(params)
+    if exact_at is not None:
+        assert n == exact_at
+
+
 def test_max_detectable_n_needs_a_positive_threshold():
     with pytest.raises(ls.InvalidValue):
         ls.max_detectable_n(ls.PhysicalParams(detection_threshold_w=0))

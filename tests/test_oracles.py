@@ -91,6 +91,29 @@ def test_dp_skips_values_above_the_target():
     assert ls.solve_dp(ls.Instance.from_values([10**18] * 4, 1)).verdict is ls.Verdict.NO
 
 
+def test_dp_verdict_agrees_with_brute_force_on_a_grid():
+    # targets of 0, sums of the smallest values alone (the table stops once
+    # the target is reached) and one beside them, repeated values, and values
+    # above the target, some far above it
+    rng = random.Random(31)
+    for n in range(13):
+        for _ in range(6):
+            pool = [rng.randint(1, rng.choice([3, 40, 500])) for _ in range(rng.randint(1, 4))]
+            values = [rng.choice(pool + [10**12]) for _ in range(n)]
+            ascending = sorted(values)
+            total = sum(values)
+            targets = {0, total, total + 1, rng.randint(0, 500), rng.randint(0, total)}
+            for j in range(1, n + 1):
+                smallest = sum(ascending[:j])
+                targets |= {smallest, smallest + 1, max(0, smallest - 1)}
+            # a target of 10^12 or more is past the DP's table budget
+            for target in sorted(t for t in targets if t < 10**6):
+                inst = ls.Instance.from_values(values, target)
+                expected = ls.solve_bruteforce(inst).verdict
+                assert ls.solve_dp(inst).verdict is expected, inst
+                assert ls.solve_dp(inst, want_witness=True).verdict is expected, inst
+
+
 def test_mitm_basic_cases():
     assert ls.solve_mitm(ls.Instance.from_values([1, 2, 3], 5)).verdict is ls.Verdict.YES
     assert ls.solve_mitm(ls.Instance.from_values([2, 4], 3)).verdict is ls.Verdict.NO

@@ -120,6 +120,17 @@ def test_wide_count_fields_decode_exactly():
         assert sum(profile.counts.tolist()) == 2**n
 
 
+def test_enumerated_times_are_exact_on_both_sides_of_the_int32_sort():
+    # longest paths of 2^31 - 1 and 2^31 quanta: the first chain is sorted
+    # as int32, the second as int64, and both profiles come back as int64
+    for top in (2**31 - 1, 2**31):
+        a = 10**9
+        inst = ls.Instance.from_values([a, top - a - 2], 0)
+        profile = ls.propagate(ls.compile_layout(inst, P))
+        assert profile.times.dtype == np.int64
+        assert dict(profile.items()) == {2: 1, a + 2: 1, top - a: 1, top: 1}
+
+
 def test_sparse_path_handles_values_too_long_to_pack():
     # 2^61 - 2 twice is a longest path of 2^62 - 2, just inside the delay
     # bound; 5e18 twice is past it and is rejected before anything propagates
@@ -483,11 +494,16 @@ BAND_EDGES = {
         ([2], 1, 3, 1),
         # n * span is one past the window: the path on the target can miss
         ([2], 2, 3, 2),
+        # halves of two stages, each keeping one of its four paths: the
+        # only pair near the moment lies exactly `near` = 2 quanta above it
+        ([10, 1000, 40, 5000], 48, 1, 1),
     ],
     4: [
         ([1, 2], 1, 2, 1),
         ([2, 2], 3, 2, 1),
         ([2], 2, 2, 3),
+        # the same halves, the pair `near` = 1 quantum above the moment
+        ([10, 1000, 40, 5000], 49, 1, 1),
     ],
 }
 
@@ -495,15 +511,15 @@ BAND_EDGES = {
 @pytest.mark.parametrize("grid", sorted(BAND_EDGES))
 def test_perturbation_band_edges_match_the_reference(grid, monkeypatch):
     monkeypatch.setattr(sim, "PERTURB_GRID", grid)
-    (sure, near, past) = (
+    sure, *edges = (
         perturbation_outcome(values, target, k, span, grid, 300, seed=9)
         for values, target, k, span in BAND_EDGES[grid]
     )
-    # the edges are reached: the sure band never misses, the other two
+    # the edges are reached: the sure band never misses, the others
     # sometimes do and sometimes do not
     assert sure[0] == 0
-    assert 0 < near[0] < 300 and 0 < past[0] < 300
-    for (values, target, k, span), expected in zip(BAND_EDGES[grid], (sure, near, past)):
+    assert all(0 < edge[0] < 300 for edge in edges)
+    for (values, target, k, span), expected in zip(BAND_EDGES[grid], (sure, *edges)):
         assert perturb_outcome(values, target, span, 300, 9, k) == expected
 
 
