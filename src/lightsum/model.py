@@ -333,8 +333,9 @@ def load_instance_file(path: str | Path) -> tuple[RawInstance, PhysicalParams]:
     """Read and validate an instance file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=Decimal)
-    except ValueError as exc:
-        # bytes that are not UTF-8, malformed JSON, or an integer past the
-        # interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, malformed JSON, an integer past the
+        # interpreter's digit limit, or arrays or objects nested past its
+        # recursion limit
         raise ParseError(f"{path}: {exc}") from exc
     return parse_instance_document(doc)

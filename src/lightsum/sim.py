@@ -30,21 +30,25 @@ half's times do, so one linear merge of the two runs finds the pairs, and
 only the moments where they meet are looked up. M = B + n*k is below 2^63,
 since B and n*k are each below 2^62, so M - t is exact in int64. Each
 half holds at most 2^ceil(n/2) arrival times, and the caps apply per half.
-The solver and the epsilon demonstration read their moments this way; the
-whole profile (`propagate`) is built only to be dumped.
+The halves are the one way the exact device is read: the solver, the epsilon
+demonstration and the perturbation pre-pass read them, and the whole profile
+(`propagate`) is built only to be dumped.
 
-Perturbation trials cut their chains at the same node but count no rays, so
-they run on path-time arrays alone. A cable cut with an error of at most e
-moves a path by at most n*e, so before the first trial each half's exact path
-times are enumerated and sorted once, and their distinct values read against
-the other half's: every trial detects when some pair lies within the window
-narrowed by n*e, none can when no pair lies within the window widened by n*e,
-and otherwise a half-path is a candidate when some partner brings the pair
-within the widened window. A chunk of trials draws its cable errors in one
-batch, as `random.Random.randint` draws them one by one. Unless the exact
-pairs decide every trial, it enumerates each half's perturbed path times for
-the whole chunk at once, with the same enumerator run on a (trials, paths)
-array, keeps the candidates, and reads every trial's window with one row sort.
+Perturbation trials cut their chains at the same node. A cable cut with an
+error of at most e moves a path by at most n*e, so before the first trial the
+exact halves' times are read against each other: every trial detects when
+some pair lies within the window narrowed by n*e, none can when no pair lies
+within the window widened by n*e, and otherwise a half-path is a candidate
+when some partner brings the pair within the widened window. A half
+enumerates its exact paths, to mark its candidates, only when it keeps a
+proper subset of them. This pre-pass propagates as the detector does, so its
+cost, dense or enumerated, follows DENSE_SLOTS_PER_PATH. The trials count no
+rays and run on path-time arrays alone. A chunk of trials draws its cable
+errors in one batch, as `random.Random.randint` draws them one by one. Unless
+the exact halves decide every trial, it enumerates each half's perturbed path
+times for the whole chunk into a buffer kept across chunks, with the same
+enumerator run on a (trials, paths) array, keeps the candidates, and reads
+every trial's window with one row sort.
 """
 
 from __future__ import annotations
@@ -130,26 +134,9 @@ class ArrivalProfile:
     def __len__(self) -> int:
         return len(self.times)
 
-    def count_at(self, time: int) -> int:
-        """Rays arriving exactly at `time`; 0 when the moment is silent."""
-        if not len(self.times) or time < self.min_time or time > self.max_time:
-            return 0
-        i = int(np.searchsorted(self.times, time))
-        if int(self.times[i]) == time:
-            return int(self.counts[i])
-        return 0
-
     def items(self) -> list[tuple[int, int]]:
         """(time, count) pairs in ascending time, as plain ints."""
         return list(zip(self.times.tolist(), self.counts.tolist()))
-
-    @property
-    def min_time(self) -> int:
-        return int(self.times[0])
-
-    @property
-    def max_time(self) -> int:
-        return int(self.times[-1])
 
 
 def _count_dtype(n: int) -> type:
@@ -176,15 +163,17 @@ def _propagate_dense(arcs: Sequence[tuple[int, int]], horizon: int) -> ArrivalPr
     return ArrivalProfile(stage_index=len(arcs), times=times, counts=cur[times])
 
 
-def _path_times(arcs: np.ndarray) -> np.ndarray:
+def _path_times(arcs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Every path time through each of a batch of chains, in subset order.
 
     `arcs` has shape (chains, stages, 2). Entry (i, p) of the result is the
     time of chain i's path p, which takes stage s's take arc when bit s of p
-    is set and its skip arc otherwise; equal times are kept.
+    is set and its skip arc otherwise; equal times are kept. The result is
+    written into `out`, an int64 array of shape (chains, 2^stages), when one
+    is given.
     """
     chains, stages = arcs.shape[:2]
-    times = np.empty((chains, 1 << stages), dtype=np.int64)
+    times = np.empty((chains, 1 << stages), dtype=np.int64) if out is None else out
     # Path 0 skips every stage, and setting bit s adds take - skip of stage s,
     # so every entry ever written is a path time.
     times[:, 0] = arcs[:, :, 0].sum(axis=1)
@@ -314,15 +303,18 @@ def _pair_within(left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> np.nd
     return (key_then_time & (np.diff(merged, axis=1) <= 2 * (hi - lo) + 1)).any(axis=1)
 
 
-def _candidates(paths: np.ndarray, ordered: np.ndarray, times: np.ndarray) -> np.ndarray | None:
-    """The indices of the `paths` whose time is in `times` (sorted, not empty).
+def _candidates(half: ArrivalProfile, near: np.ndarray, arcs: np.ndarray) -> np.ndarray | None:
+    """The subset-order indices of the half's paths whose time is a `near` one.
 
-    `ordered` is `paths` sorted. None when at least half of the paths qualify:
-    finding a subset costs more than so small a saving.
+    `near` marks some of `half.times`, at least one; `arcs`, of shape
+    (stages, 2), is the chain the half went through. None when at least half
+    of the paths qualify: finding a subset costs more than so small a saving.
+    Only a proper subset enumerates the chain's paths.
     """
-    qualify = np.searchsorted(ordered, times, "right") - np.searchsorted(ordered, times)
-    if 2 * int(qualify.sum()) >= len(paths):
+    if 2 * int(half.counts[near].sum()) >= 1 << half.stage_index:
         return None
+    paths = _path_times(arcs[None])[0]
+    times = half.times[near]
     i = np.minimum(np.searchsorted(times, paths), len(times) - 1)
     return np.flatnonzero(times[i] == paths)
 
@@ -411,21 +403,19 @@ class DetectionReport:
     detectable: bool
 
 
-def detect(
-    profile: ArrivalProfile | SplitProfile, instance: Instance, params: PhysicalParams
-) -> DetectionReport:
+def detect(halves: SplitProfile, instance: Instance, params: PhysicalParams) -> DetectionReport:
     """Apply the detection rule: YES iff a ray arrives at moment B + n*k.
 
-    The profile, whole or split, must come from a layout built with the same
-    offset k as `params`. Every ray crosses n splitters, so per-ray power is
-    the uniform source * (transmission/2)^n; coincident rays add their power.
+    The halves must come from a layout built with the same offset k as
+    `params`. Every ray crosses n splitters, so per-ray power is the uniform
+    source * (transmission/2)^n; coincident rays add their power.
     """
-    if profile.stage_index != instance.n:
+    if halves.stage_index != instance.n:
         raise StageMismatch(
-            f"profile went through {profile.stage_index} stages, instance has {instance.n}"
+            f"profile went through {halves.stage_index} stages, instance has {instance.n}"
         )
     moment = instance.target + instance.n * params.offset_k_quanta
-    count = profile.count_at(moment)
+    count = halves.count_at(moment)
     ray_power = per_ray_power(instance.n, params)
     amplified = params.detector_gain * count * ray_power
     return DetectionReport(
@@ -511,15 +501,16 @@ def perturb_and_classify(
     stage, skip arc before take arc, whatever the chunk size.
 
     A perturbed path lies within n * error of its exact time. So the run
-    first enumerates and sorts each half's exact path times, and reads their
-    distinct values against each other: every trial detects when some pair
-    lies within half a quantum minus n * error of the target, and a half-path
-    is a candidate when some partner makes a pair within half a quantum plus
-    n * error. Trials run
-    PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time (at least one). A chunk
-    draws and checks its errors; unless some pair always detects or none can,
-    it enumerates every path time of its perturbed halves and reads the
-    window from the candidates alone.
+    first propagates the exact halves (`propagate_halves`) and reads their
+    times against each other: every trial detects when some pair lies within
+    half a quantum minus n * error of the target, and a half-path is a
+    candidate when some partner makes a pair within half a quantum plus
+    n * error. The counts of the candidate times tell whether a half keeps a
+    proper subset of its paths; only then are its exact paths enumerated to
+    mark which. Trials run PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time
+    (at least one). A chunk draws and checks its errors; unless some pair
+    always detects or none can, it enumerates every path time of its
+    perturbed halves and reads the window from the candidates alone.
 
     A half past the path cap that detection checks raises ResourceLimit
     before the first trial, as do trials * (2^ceil(n/2) +
@@ -563,23 +554,26 @@ def perturb_and_classify(
     moment = instance.target + n * params.offset_k_quanta
     near = (window_g + n * err_span) // PERTURB_GRID
     sure = (window_g - n * err_span) // PERTURB_GRID
-    # Each half's exact path times in subset order, sorted, and distinct.
+    halves = propagate_halves(layout)
+    left, right = halves.left.times, halves.right.times
+    always = sure >= 0 and bool(_partnered(left, right, moment - sure, moment + sure).any())
     cut = n // 2
     exact = np.array(_arcs(layout), dtype=np.int64).reshape(n, 2)
-    paths = (_path_times(exact[None, :cut])[0], _path_times(exact[None, cut:])[0])
-    ordered = [np.sort(p) for p in paths]
-    left, right = (t[np.concatenate(([True], t[1:] != t[:-1]))] for t in ordered)
-    always = sure >= 0 and bool(_partnered(left, right, moment - sure, moment + sure).any())
     candidates = None
     if not always:
         near_left = _partnered(left, right, moment - near, moment + near)
         if near_left.any():
             near_right = _partnered(right, left, moment - near, moment + near)
-            candidates = (_candidates(paths[0], ordered[0], left[near_left]),
-                          _candidates(paths[1], ordered[1], right[near_right]))
+            candidates = (_candidates(halves.left, near_left, exact[:cut]),
+                          _candidates(halves.right, near_right, exact[cut:]))
 
     exact_g = exact * PERTURB_GRID
-    chunk = max(1, PERTURB_CHUNK_ARRIVALS >> half)
+    chunk = min(trials, max(1, PERTURB_CHUNK_ARRIVALS >> half))
+    if candidates is not None:
+        # One buffer per half for every chunk: fresh ones each chunk fault
+        # in new pages on every call.
+        buffers = (np.empty((chunk, 1 << cut), dtype=np.int64),
+                   np.empty((chunk, 1 << (n - cut)), dtype=np.int64))
     draw = _uniform_draws(random.Random(rng_seed), err_span)
     detected = 0
     max_err_g = 0
@@ -598,7 +592,8 @@ def perturb_and_classify(
         if always:
             detected += c
         elif candidates is not None:
-            times = (_path_times(arcs[:, :cut]), _path_times(arcs[:, cut:]))
+            times = (_path_times(arcs[:, :cut], buffers[0][:c]),
+                     _path_times(arcs[:, cut:], buffers[1][:c]))
             left, right = (t if keep is None else t[:, keep] for t, keep in zip(times, candidates))
             hits = _pair_within(left, right, target_g - window_g, target_g + window_g)
             detected += int(hits.sum())

@@ -36,8 +36,8 @@ def _random_instance(rng: random.Random, max_n: int, max_value: int) -> ls.Insta
 
 
 def simulator_verdict(inst: ls.Instance, params: ls.PhysicalParams = P) -> ls.Verdict:
-    profile = ls.propagate(ls.compile_layout(inst, params))
-    return ls.detect(profile, inst, params).verdict
+    halves = ls.propagate_halves(ls.compile_layout(inst, params))
+    return ls.detect(halves, inst, params).verdict
 
 
 def test_criterion_1_oracle_equivalence_on_500_instances():
@@ -86,10 +86,11 @@ def test_criterion_3_profile_invariants_on_100_instances():
         profile = ls.propagate(ls.compile_layout(inst, params))
         n, total = inst.n, inst.total
         ok = sum(profile.counts.tolist()) == 2**n
+        counts = dict(profile.items())
         mirror = total + 2 * n * k
-        ok = ok and all(profile.count_at(mirror - t) == c for t, c in profile.items())
-        ok = ok and profile.count_at(n * k) == 1
-        ok = ok and profile.count_at(total + n * k) == 1
+        ok = ok and all(counts.get(mirror - t, 0) == c for t, c in counts.items())
+        ok = ok and counts.get(n * k, 0) == 1
+        ok = ok and counts.get(total + n * k, 0) == 1
         if not ok:
             failures += 1
     _report(
@@ -137,7 +138,7 @@ def test_criterion_6_epsilon_device_false_positive():
     inst = ls.Instance.from_values([5, 9, 10, 11], 8)
     demo = ls.epsilon_false_positive_demo(inst, 1, P)
     raw_moment_hit = (
-        ls.propagate(ls.compile_epsilon_layout(inst, 1)).count_at(8) >= 1
+        dict(ls.propagate(ls.compile_epsilon_layout(inst, 1)).items()).get(8, 0) >= 1
     )
     ok = (
         demo.epsilon_verdict is ls.Verdict.YES
@@ -204,7 +205,7 @@ def test_criterion_8_offset_and_slow_light_invariance():
             base_lengths = ls.cable_lengths(layout, params)
             for factor in factors:
                 slowed = ls.slow_light_rescale(params, factor)
-                report = ls.detect(ls.propagate(layout), inst, slowed)
+                report = ls.detect(ls.propagate_halves(layout), inst, slowed)
                 if report.verdict is not reference:
                     bad += 1
                 if report.checked_moment != inst.target + inst.n * k:

@@ -199,8 +199,8 @@ def test_slow_light_rejects_out_of_range_factors(factor):
 def test_slow_light_never_changes_the_verdict(values, target, factor):
     inst = ls.Instance.from_values(values, target)
     slowed = ls.slow_light_rescale(P, factor)
-    before = ls.detect(ls.propagate(ls.compile_layout(inst, P)), inst, P)
-    after = ls.detect(ls.propagate(ls.compile_layout(inst, slowed)), inst, slowed)
+    before = ls.detect(ls.propagate_halves(ls.compile_layout(inst, P)), inst, P)
+    after = ls.detect(ls.propagate_halves(ls.compile_layout(inst, slowed)), inst, slowed)
     assert before.verdict is after.verdict
     assert before.checked_moment == after.checked_moment
     lengths = ls.cable_lengths(ls.compile_layout(inst, P), P)

@@ -317,11 +317,16 @@ def test_unparseable_file_is_an_input_error(tmp_path, capsys):
 
 
 def test_unreadable_numbers_and_bytes_are_input_errors(tmp_path, capsys):
-    # an integer past the interpreter's 4300-digit limit, and a file that is
-    # not UTF-8
+    # an integer past the interpreter's 4300-digit limit, a file that is not
+    # UTF-8, and a set and params nested 100 000 deep, past the recursion
+    # limit of the JSON decoder
     path = tmp_path / "bad.json"
+    deep = 100_000
     for content in (b'{"set": [1], "target": ' + b"9" * 5000 + b"}",
-                    b'{"set": [1], "target": 1\xff}'):
+                    b'{"set": [1], "target": 1\xff}',
+                    b'{"set": ' + b"[" * deep + b"]" * deep + b', "target": 1}',
+                    b'{"set": [1], "target": 1, "params": ' + b'{"a": ' * deep + b"{}"
+                    + b"}" * deep + b"}"):
         path.write_bytes(content)
         code, report, err = run(capsys, ["solve", str(path)])
         assert (code, report) == (3, None)
