@@ -7,8 +7,8 @@ the two, so after n stages the histogram at the destination is exactly the
 multiset of subset sums shifted by the accumulated skip delays. The offset
 device and the epsilon device differ only in those two delays.
 
-A chain of stages propagates on one of two representations. While its horizon
-is at most DENSE_SLOTS_PER_PATH slots per path (2^stages paths) and fits
+A chain of stages propagates on one of two representations. While it has
+DENSE_PATHS_PER_SLOT paths (2^stages) or more per slot and its horizon fits
 MAX_PROFILE_ENTRIES, it runs on one dense count array of horizon + 1 slots;
 each stage writes the two shifted copies, summed, into a second buffer.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
@@ -42,7 +42,7 @@ within the window widened by n*e, and otherwise a half-path is a candidate
 when some partner brings the pair within the widened window. A half
 enumerates its exact paths, to mark its candidates, only when it keeps a
 proper subset of them. This pre-pass propagates as the detector does, so its
-cost, dense or enumerated, follows DENSE_SLOTS_PER_PATH. The trials count no
+cost, dense or enumerated, follows DENSE_PATHS_PER_SLOT. The trials count no
 rays and run on path-time arrays alone. A chunk of trials draws its cable
 errors in one batch, as `random.Random.randint` draws them one by one. Unless
 the exact halves decide every trial, it enumerates each half's perturbed path
@@ -78,10 +78,11 @@ from .rational import RationalLike, to_fraction
 # enumerated chain, or a perturbed half, this many path times.
 MAX_PROFILE_ENTRIES = 1 << 22
 
-# A dense stage costs a slot of work per horizon slot, an enumerated stage a
-# sort step per path; past 4 slots per path the enumerator was faster on a
-# 2-vCPU VM at 13 stages and more (at 16, from about 2 slots per path).
-DENSE_SLOTS_PER_PATH = 4
+# A dense stage costs a slot of work per horizon slot, an enumerated chain a
+# few steps per path. On a 2-vCPU VM the enumerator was faster from 0.5-0.7
+# slots per path at 12-21 stages (from 1-2 below 10 stages, where both take
+# well under 0.1 ms), so a chain runs dense while it has this many paths a slot.
+DENSE_PATHS_PER_SLOT = 2
 
 # A dense chain of s stages over h slots adds s * (h + 1) counts of ceil(s/64)
 # words each. Past 63 stages they are Python ints, added at 1.3-1.8e9 words a
@@ -195,14 +196,16 @@ def _check_paths(stages: int) -> None:
 
 def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
     # Dense while the horizon is short next to the 2^stages paths, else every
-    # path time is enumerated and each run of equal times counted.
+    # path time is enumerated and each run of equal times counted. Past 22
+    # stages, too many paths to enumerate, every horizon that fits runs dense.
     horizon = sum(max(arc) for arc in arcs)
     stages = len(arcs)
-    if horizon + 1 <= min(MAX_PROFILE_ENTRIES, DENSE_SLOTS_PER_PATH << stages):
-        additions = stages * (horizon + 1) * -(-stages // 64)
+    slots = horizon + 1
+    if slots <= MAX_PROFILE_ENTRIES and DENSE_PATHS_PER_SLOT * slots <= 1 << stages:
+        additions = stages * slots * -(-stages // 64)
         if additions > MAX_DENSE_WORD_ADDITIONS:
             raise ResourceLimit(
-                f"a dense chain of {stages} stages over {horizon + 1} slots takes "
+                f"a dense chain of {stages} stages over {slots} slots takes "
                 f"{additions} word additions, past the cap of {MAX_DENSE_WORD_ADDITIONS}"
             )
         return _propagate_dense(arcs, horizon)

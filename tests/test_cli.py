@@ -567,7 +567,7 @@ def test_solve_values_far_above_the_target(tmp_path, capsys):
 
 def test_failed_dump_leaves_the_file_untouched(tmp_path, capsys, monkeypatch):
     # each half of 3 stages has 8 paths, the whole device 64
-    monkeypatch.setattr(sim, "DENSE_SLOTS_PER_PATH", 0)
+    monkeypatch.setattr(sim, "DENSE_PATHS_PER_SLOT", 2**64)
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
     f = write_instance(tmp_path, {"set": [1, 2, 4, 8, 16, 32], "target": 5})
     # a whole profile of 8 paths fits, but the report fails first

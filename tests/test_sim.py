@@ -103,10 +103,11 @@ def test_dense_and_enumerated_paths_match_subset_sums(values, delay, epsilon):
     base = sum(s.skip_delay for s in layout.stages)
     gains = [s.take_delay - s.skip_delay for s in layout.stages]
     expected = {base + s: c for s, c in subset_sums(gains).items()}
-    assert dict(ls.propagate(layout).items()) == expected
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "DENSE_SLOTS_PER_PATH", 0)
-        assert dict(ls.propagate(layout).items()) == expected
+    # 0 paths per slot always runs dense, 2^64 never does
+    for paths_per_slot in (0, 2**64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "DENSE_PATHS_PER_SLOT", paths_per_slot)
+            assert dict(ls.propagate(layout).items()) == expected
 
 
 def test_wide_count_fields_decode_exactly():
@@ -154,12 +155,11 @@ def test_halves_detect_exactly_just_inside_the_delay_bound():
 
 
 @pytest.mark.parametrize("epsilon", [False, True], ids=["offset", "epsilon"])
-@pytest.mark.parametrize("slots_per_path", [sim.DENSE_SLOTS_PER_PATH, 0],
-                         ids=["dense", "enumerated"])
-def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, slots_per_path,
+@pytest.mark.parametrize("paths_per_slot", [0, 2**64], ids=["dense", "enumerated"])
+def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, paths_per_slot,
                                                               monkeypatch):
     # n = 0..9 cuts the chain into halves of equal and of unequal length
-    monkeypatch.setattr(sim, "DENSE_SLOTS_PER_PATH", slots_per_path)
+    monkeypatch.setattr(sim, "DENSE_PATHS_PER_SLOT", paths_per_slot)
     rng = random.Random(5)
     for n in range(10):
         for _ in range(3):
@@ -194,7 +194,7 @@ def test_split_count_multiplies_in_the_width_of_the_whole_device():
 
 
 def test_sparse_path_entry_cap(monkeypatch):
-    monkeypatch.setattr(sim, "DENSE_SLOTS_PER_PATH", 0)
+    monkeypatch.setattr(sim, "DENSE_PATHS_PER_SLOT", 2**64)
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
     inst = ls.Instance.from_values([10**9, 10**5, 10**3], 0)
     with pytest.raises(ls.ResourceLimit):
@@ -491,15 +491,27 @@ def test_perturbation_matches_a_naive_reference_on_small_devices():
         expected = perturbation_outcome(values, target, 1, span, grid, 24, seed)
         got = perturb_outcome(values, target, span, 24, seed)
         assert got == expected, (values, target, quanta)
-    # 8 to 10 values drawn from two below 21 make short horizons, so each
-    # half propagates dense, and its equal paths bunch on few times: some
-    # halves keep the paths of the one or two times near the target
+    # 8 to 10 values drawn from two below 21 make short horizons, on which
+    # equal paths bunch on few times: some halves keep the paths of the one
+    # or two times near the target
     rng = random.Random(1)
     for _ in range(6):
         pool = [rng.randint(1, 20) for _ in range(2)]
         values = [rng.choice(pool) for _ in range(rng.randint(8, 10))]
         target = max(0, sum(v for v in values if rng.random() < 0.5) + rng.choice([0, 1, -1]))
         quanta = rng.choice([Fraction(1, 10), Fraction(1, 4)])
+        span, seed = int(quanta * grid), rng.randrange(1000)
+        expected = perturbation_outcome(values, target, 1, span, grid, 24, seed)
+        got = perturb_outcome(values, target, span, 24, seed)
+        assert got == expected, (values, target, quanta)
+    # 9 or 10 values of 1 and 2 make a half of 5 stages with a horizon of at
+    # most 15 quanta, which propagates dense; a target at either end of the
+    # sums keeps only some of its paths
+    rng = random.Random(3)
+    for _ in range(8):
+        values = [rng.choice([1, 2]) for _ in range(rng.randint(9, 10))]
+        target = rng.choice([0, 1, 2, sum(values) - 1, sum(values) + 1])
+        quanta = rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)])
         span, seed = int(quanta * grid), rng.randrange(1000)
         expected = perturbation_outcome(values, target, 1, span, grid, 24, seed)
         got = perturb_outcome(values, target, span, 24, seed)
