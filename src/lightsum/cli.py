@@ -5,6 +5,11 @@ messages. Exit codes: 0 YES (or plain success for commands without a
 verdict), 1 NO, 2 simulator/oracle disagreement, 3 bad input (usage errors
 included), 4 resource limit exceeded, 5 internal error (an unexpected
 exception, with its traceback on stderr; never read as a verdict).
+
+The report is written by a direct walk of its dicts, lists and dataclasses,
+with sorted keys and a two-space indent: the text that
+json.dumps(report, indent=2, sort_keys=True) would give, with every Fraction
+as its exact decimal (or p/q) string.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ EXIT_INTERNAL_ERROR = 5
 # Rendering an exact number takes time quadratic in its length: the longest a
 # report accepts, about 242 000 digits, takes about 1.1 s on a 2-vCPU VM.
 MAX_REPORT_DIGITS = 250_000
+
+# json's ASCII string encoder, written in C where the interpreter has it.
+_quote = json.encoder.encode_basestring_ascii
 
 ORACLES = {
     "dp": solve_dp,
@@ -163,24 +171,51 @@ def _check_length(x: int | Fraction) -> None:
         raise ResourceLimit(f"a report number may take {length} digits, past {MAX_REPORT_DIGITS}")
 
 
-def _encode(obj: object) -> object:
-    """json.dumps' hook: a Fraction becomes its fraction_str, a dataclass the
-    dict of its fields. A number that might render past MAX_REPORT_DIGITS
-    raises ResourceLimit before it is rendered."""
+def _render(report: object) -> str:
+    """The whole report as JSON, built before any output is written.
+
+    The text is what json.dumps(report, indent=2, sort_keys=True) writes,
+    plus a final newline, with a Fraction as its fraction_str and a dataclass
+    as the object of its fields. json.dumps itself runs its pure-Python
+    encoder once given an indent, and took longer. An int or Fraction that
+    might render past MAX_REPORT_DIGITS raises ResourceLimit before it is
+    rendered.
+    """
+    with _exact_ints():
+        return _json(report, "\n") + "\n"
+
+
+def _json(obj: object, newline: str) -> str:
+    """obj as JSON text; `newline` is a line break followed by the indent of
+    the line obj starts on."""
+    if isinstance(obj, str):  # a str Enum writes its value
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        _check_length(obj)
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj)
     if isinstance(obj, Fraction):
         _check_length(obj)
-        return fraction_str(obj)
-    doc = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    for value in doc.values():
-        if isinstance(value, int):
-            _check_length(value)
-    return doc
-
-
-def _render(report: object) -> str:
-    """The whole report as JSON, built before any output is written."""
-    with _exact_ints():
-        return json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n"
+        return f'"{fraction_str(obj)}"'
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = ("," + inner).join([_json(item, inner) for item in obj])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+    else:
+        items = sorted((f.name, getattr(obj, f.name)) for f in fields(obj))
+    if not items:
+        return "{}"
+    body = ("," + inner).join([f"{_quote(key)}: {_json(value, inner)}" for key, value in items])
+    return f"{{{inner}{body}{newline}}}"
 
 
 def _dump(path: str, layout: DeviceLayout) -> None:

@@ -6,6 +6,11 @@ of them is an integer count of delay quanta and no power of ten is common to
 all of them; the device geometry is then a chain of stages, one per set
 element, where each stage offers a short "skip" arc and a longer "take" arc.
 
+Normalization converts an integral number with one int() and reads the digits
+of a non-integral one only, so its time is linear in the digits written. An
+instance file is read as bytes and decoded once, and every file without
+"params" overrides shares one default PhysicalParams.
+
 This module is shared contract: the simulator, the oracles, the feasibility
 analysis and the CLI all build on the types defined here. Everything is
 immutable after construction and safe to share between threads.
@@ -14,6 +19,7 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from enum import Enum
@@ -40,21 +46,6 @@ class Verdict(str, Enum):
     @classmethod
     def from_bool(cls, yes: bool) -> "Verdict":
         return cls.YES if yes else cls.NO
-
-
-def _least_digit_exponent(d: Decimal) -> int | None:
-    """Exponent of the least significant nonzero digit, or None when d == 0.
-
-    2100 -> 2, 0.001 -> -3, 4 -> 0; independent of the textual form the
-    number was written in.
-    """
-    if d == 0:
-        return None
-    _, digits, exp = d.as_tuple()
-    trailing = 0
-    while trailing < len(digits) and digits[-1 - trailing] == 0:
-        trailing += 1
-    return int(exp) + trailing
 
 
 @dataclass(frozen=True)
@@ -121,6 +112,10 @@ class Instance:
         return sum(self.values)
 
 
+# Maps the digit bytes 0-9 of a Decimal's digit tuple onto ASCII, for int().
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def normalize(raw: RawInstance) -> Instance:
     """Rescale all values and the target jointly by one power of ten.
 
@@ -133,34 +128,48 @@ def normalize(raw: RawInstance) -> Instance:
     The same factor is applied to values and target; scaling them differently
     would change the answer. A sum of values or a target that reaches
     MAX_DELAY_QUANTA raises Overflow.
+
+    An integral number, however it was written, is converted with one int();
+    only a non-integral one reads its digits, and the time taken is linear in
+    the digits written: "1." followed by 10^6 zeros is 1.
     """
-    decimals = list(raw.values)
-    target_dec = raw.target
-    exponents = [e for e in map(_least_digit_exponent, decimals + [target_dec]) if e is not None]
-    scale_exp = -min(exponents) if exponents else 0
-    # A number normalizes to at least 10^(adjusted + scale_exp), which is past
-    # the bound once that exponent reaches its bit length; reject it before
-    # any such power of ten is built (a long fraction makes scale_exp huge).
-    for d in decimals + [target_dec]:
-        if d and d.adjusted() + scale_exp >= MAX_DELAY_QUANTA.bit_length():
-            raise Overflow(
-                f"{d} normalizes to at least 10^{d.adjusted() + scale_exp}, "
-                f"past the bound of {MAX_DELAY_QUANTA} quanta"
-            )
-    up, down = 10 ** max(scale_exp, 0), 10 ** max(-scale_exp, 0)
-
-    def to_quanta(d: Decimal) -> int:
-        num, den = d.as_integer_ratio()
-        q, r = divmod(num * up, den * down)
-        if r:
-            raise RuntimeError(f"{d} is not integral at scale 10^{scale_exp}")
-        return q
-
-    return Instance(
-        values=tuple(to_quanta(d) for d in decimals),
-        target=to_quanta(target_dec),
-        scale=Fraction(10) ** scale_exp,
-    )
+    numbers = (*raw.values, raw.target)
+    quanta = list(map(int, numbers))
+    # (index, digits from the first nonzero to the last, as bytes 0-9, and
+    # the exponent of the last) of every number that int() truncated
+    fractional = []
+    for i, (d, q) in enumerate(zip(numbers, quanta)):
+        if d != q:
+            _, digits, exp = d.as_tuple()
+            kept = bytes(digits).rstrip(b"\0")
+            fractional.append((i, kept, exp + len(digits) - len(kept)))
+    if fractional:
+        scale_exp = -min(least for _, _, least in fractional)
+        # A number normalizes to at least 10^(adjusted + scale_exp), which is
+        # past the bound once that exponent reaches its bit length; reject it
+        # before any such power of ten is built (a long fraction makes
+        # scale_exp huge).
+        for d in numbers:
+            if d and d.adjusted() + scale_exp >= MAX_DELAY_QUANTA.bit_length():
+                raise Overflow(
+                    f"{d} normalizes to at least 10^{d.adjusted() + scale_exp}, "
+                    f"past the bound of {MAX_DELAY_QUANTA} quanta"
+                )
+        up = 10**scale_exp
+        quanta = [q * up for q in quanta]
+        for i, kept, least in fractional:
+            quanta[i] = int(kept.translate(_DIGIT_CHARS)) * 10 ** (least + scale_exp)
+    else:
+        # Every number is an integer: divide out the tens they all share.
+        common = math.gcd(*quanta)
+        scale_exp = 0
+        while common and common % 10 == 0:
+            common //= 10
+            scale_exp -= 1
+        if scale_exp:
+            down = 10**-scale_exp
+            quanta = [q // down for q in quanta]
+    return Instance(values=tuple(quanta[:-1]), target=quanta[-1], scale=Fraction(10) ** scale_exp)
 
 
 @dataclass(frozen=True)
@@ -259,7 +268,7 @@ def compile_layout(instance: Instance, params: PhysicalParams) -> DeviceLayout:
     """
     k = params.offset_k_quanta
     return DeviceLayout(
-        stages=tuple(Stage(value=a, skip_delay=k, take_delay=a + k) for a in instance.values)
+        stages=tuple(Stage(a, k, a + k) for a in instance.values)
     )
 
 
@@ -296,6 +305,9 @@ def cable_lengths(layout: DeviceLayout, params: PhysicalParams) -> list[Fraction
 # be decimal strings or JSON numbers (loaded as exact Decimals, never as binary
 # doubles) and "params" optionally overrides the fields below.
 
+# Shared by every document without overrides: PhysicalParams is frozen.
+_DEFAULT_PARAMS = PhysicalParams()
+
 INSTANCE_PARAM_KEYS = (
     "delay_quantum_s",
     "offset_k_quanta",
@@ -326,13 +338,19 @@ def parse_instance_document(doc: object) -> tuple[RawInstance, PhysicalParams]:
     bad = set(overrides) - set(INSTANCE_PARAM_KEYS)
     if bad:
         raise ParseError(f"unknown params fields: {sorted(bad)}")
-    return raw, PhysicalParams(**overrides)
+    return raw, PhysicalParams(**overrides) if overrides else _DEFAULT_PARAMS
 
 
 def load_instance_file(path: str | Path) -> tuple[RawInstance, PhysicalParams]:
-    """Read and validate an instance file."""
+    """Read and validate an instance file.
+
+    The bytes are read and decoded in one step each: Path.read_text's text
+    layer takes about twice as long for a small file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=Decimal)
+        doc = json.loads(data.decode("utf-8"), parse_float=Decimal)
     except (ValueError, RecursionError) as exc:
         # bytes that are not UTF-8, malformed JSON, an integer past the
         # interpreter's digit limit, or arrays or objects nested past its

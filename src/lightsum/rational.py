@@ -32,21 +32,21 @@ MAX_DECIMAL_EXPONENT = 1000
 def parse_decimal(x: int | str | Decimal) -> Decimal:
     """Parse a finite decimal number exactly; the one place that decides
     which inputs are numbers."""
-    if isinstance(x, bool):
-        raise ParseError("booleans are not numbers")
-    if isinstance(x, float):
-        raise ParseError(
-            f"floats are not accepted ({x!r}); pass the number as a decimal string"
-        )
-    if isinstance(x, Decimal):
-        d = x
-    elif isinstance(x, int):
-        d = Decimal(x)
-    elif isinstance(x, str):
+    if isinstance(x, str):
         try:
             d = Decimal(x.strip())
         except (InvalidOperation, ValueError) as exc:
             raise ParseError(f"not a finite decimal number: {x!r}") from exc
+    elif isinstance(x, Decimal):
+        d = x
+    elif isinstance(x, bool):
+        raise ParseError("booleans are not numbers")
+    elif isinstance(x, int):
+        d = Decimal(x)
+    elif isinstance(x, float):
+        raise ParseError(
+            f"floats are not accepted ({x!r}); pass the number as a decimal string"
+        )
     else:
         raise ParseError(f"cannot parse {type(x).__name__} as a decimal number")
     if not d.is_finite():

@@ -179,9 +179,11 @@ def _path_times(arcs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # so every entry ever written is a path time.
     times[:, 0] = arcs[:, :, 0].sum(axis=1)
     steps = arcs[:, :, 1] - arcs[:, :, 0]
-    for stage in range(stages):
-        np.add(times[:, : 1 << stage], steps[:, stage, None],
-               out=times[:, 1 << stage : 2 << stage])
+    # One chain steps its row by Python ints, a batch its rows by a column
+    # each: a scalar add costs less per stage than a broadcast one.
+    rows, steps = (times[0], steps[0].tolist()) if chains == 1 else (times, steps.T[:, :, None])
+    for stage, step in enumerate(steps):
+        np.add(rows[..., : 1 << stage], step, out=rows[..., 1 << stage : 2 << stage])
     return times
 
 
@@ -590,7 +592,8 @@ def perturb_and_classify(
                 "a sampled length error made a cable non-positive; reduce max_error_m"
             )
         # A trial's earliest and latest drift: every stage's smaller error, or larger.
-        drift = np.abs((errors.min(axis=2).sum(axis=1), errors.max(axis=2).sum(axis=1)))
+        skip, take = errors[..., 0], errors[..., 1]
+        drift = np.abs((np.minimum(skip, take).sum(axis=1), np.maximum(skip, take).sum(axis=1)))
         max_err_g = max(max_err_g, int(drift.max()))
         if always:
             detected += c

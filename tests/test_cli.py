@@ -7,7 +7,9 @@ import json
 import math
 import random
 import sys
+from dataclasses import dataclass, fields
 from decimal import Decimal
+from enum import Enum
 from fractions import Fraction
 from unittest import mock
 
@@ -479,6 +481,61 @@ def test_every_number_rendered_past_the_digit_bound_is_refused(numerator, twos, 
         with mock.patch.object(cli, "MAX_REPORT_DIGITS", length - 1), \
                 pytest.raises(ls.ResourceLimit):
             cli._render(obj)
+
+
+def _reference_hook(obj):
+    """The json.dumps hook reports were once rendered with, kept as the
+    writer's reference: a Fraction as its fraction_str, a dataclass as the
+    dict of its fields."""
+    if isinstance(obj, Fraction):
+        return fraction_str(obj)
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+@dataclass(frozen=True)
+class _Pair:
+    left: object
+    right: object
+
+
+class _Mood(str, Enum):
+    CALM = "calm"
+    ODD = "\u00f6\n\"\x07\U0001f600"
+
+
+_leaves = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.text() | st.fractions() | st.sampled_from(_Mood))
+_trees = st.recursive(
+    _leaves,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4) | st.builds(_Pair, kids, kids)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_report_writer_matches_json_dumps_byte_for_byte(tree):
+    expected = json.dumps(tree, indent=2, sort_keys=True, default=_reference_hook) + "\n"
+    assert cli._render(tree) == expected
+
+
+@pytest.mark.parametrize("big", [-(10**400), Fraction(1, 2**1000), Fraction(10**400, 3)],
+                         ids=["int", "decimal-fraction", "ratio"])
+@pytest.mark.parametrize("place", [
+    lambda x: x,
+    lambda x: [1, x, 2],
+    lambda x: (x,),
+    lambda x: {"a": 1, "b": [[{"c": x}]]},
+    lambda x: _Pair([], _Pair(x, None)),
+], ids=["alone", "list", "tuple", "nested", "dataclass"])
+def test_digit_cap_refuses_an_oversized_number_wherever_it_sits(big, place):
+    text = cli._render(place(big))
+    with mock.patch.object(cli, "MAX_REPORT_DIGITS", len(fraction_str(Fraction(big))) - 1), \
+            pytest.raises(ls.ResourceLimit):
+        cli._render(place(big))
+    assert json.loads(text) == json.loads(json.dumps(place(big), default=_reference_hook))
 
 
 def test_perturb_error_finer_than_the_grid_is_an_input_error(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -191,6 +192,106 @@ def test_normalize_scale_maps_raw_onto_integers_exactly(values, target):
         assert any(v % 10 != 0 for v in nonzero)
 
 
+def _least_digit_exponent(d):
+    """Exponent of the least significant nonzero digit, or None when d == 0."""
+    if d == 0:
+        return None
+    _, digits, exp = d.as_tuple()
+    trailing = 0
+    while trailing < len(digits) and digits[-1 - trailing] == 0:
+        trailing += 1
+    return int(exp) + trailing
+
+
+def _normalize_by_exponent_walk(raw):
+    """The exponent walk normalize once ran, kept as its reference: every
+    number's least digit exponent, then each number through as_integer_ratio."""
+    decimals = list(raw.values) + [raw.target]
+    exponents = [e for e in map(_least_digit_exponent, decimals) if e is not None]
+    scale_exp = -min(exponents) if exponents else 0
+    for d in decimals:
+        if d and d.adjusted() + scale_exp >= model.MAX_DELAY_QUANTA.bit_length():
+            raise ls.Overflow(f"{d} normalizes past the bound")
+    up, down = 10 ** max(scale_exp, 0), 10 ** max(-scale_exp, 0)
+
+    def to_quanta(d):
+        num, den = d.as_integer_ratio()
+        q, r = divmod(num * up, den * down)
+        assert r == 0
+        return q
+
+    quanta = [to_quanta(d) for d in decimals]
+    return ls.Instance(values=tuple(quanta[:-1]), target=quanta[-1],
+                       scale=Fraction(10) ** scale_exp)
+
+
+def _outcome(route, raw):
+    """(values, target, scale) of a normalized instance, or the error type."""
+    try:
+        inst = route(raw)
+    except ls.LightsumError as exc:
+        return type(exc)
+    assert all(type(v) is int for v in inst.values + (inst.target,))
+    return inst.values, inst.target, inst.scale
+
+
+# A digit string with trailing zeros, placed by an exponent, and written in
+# plain or exponent notation, as a Decimal or, when integral, as an int.
+_digits = st.builds(lambda lead, zeros: lead + "0" * zeros,
+                    st.integers(1, 10**8).map(str) | st.just("1"), st.integers(0, 12))
+
+
+@st.composite
+def _written_number(draw, zero=False):
+    digits = "0" if zero else draw(_digits)
+    d = Decimal(digits).scaleb(draw(st.integers(-14, 8)))
+    forms = [str(d), f"{d:f}", f"{d:E}", d]
+    if d == d.to_integral_value():
+        forms.append(int(d))
+    return draw(st.sampled_from(forms))
+
+
+# Values whose quanta reach about 2^62, the bound, in either scale direction.
+_near_the_bound = st.builds(
+    lambda m, e: Decimal(m).scaleb(e),
+    st.sampled_from([2**62 - 1, 2**62, 2**61, 2**61 + 1, 2**62 // 5, 10**18]),
+    st.integers(-6, 2),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(values=st.lists(_written_number(), max_size=6),
+       target=_written_number() | _written_number(zero=True),
+       edge=st.none() | _near_the_bound)
+def test_normalize_matches_the_exponent_walk(values, target, edge):
+    raw = ls.RawInstance.from_values(values + ([] if edge is None else [edge]), target)
+    assert _outcome(ls.normalize, raw) == _outcome(_normalize_by_exponent_walk, raw)
+
+
+@pytest.mark.parametrize("values,target", [
+    ([], 0), ([], "0.000"), ([], "0E+5"), (["5E+3"], 0), ([20, "3.0"], "1E+1"),
+    (["0.5"], "0.00"), ([str(2**62)], 0), ([str(2**62 - 1)], 0), ([2**61] * 2, 0),
+    (["4611686018427387.903"], 0), (["4611686018427387.904"], 0),
+    (["0.1", "4611686018427387903"], 0), (["1." + "0" * 62 + "1"], 1),
+])
+def test_normalize_matches_the_exponent_walk_at_the_edges(values, target):
+    raw = ls.RawInstance.from_values(values, target)
+    assert _outcome(ls.normalize, raw) == _outcome(_normalize_by_exponent_walk, raw)
+
+
+def test_normalize_takes_time_linear_in_the_digits():
+    # as_integer_ratio on these takes seconds at 3*10^5 digits
+    zeros = "1." + "0" * 300_000
+    start = time.perf_counter()
+    inst = ls.normalize(ls.RawInstance.from_values([zeros], zeros))
+    assert time.perf_counter() - start < 1
+    assert (inst.values, inst.target, inst.scale) == ((1,), 1, Fraction(1))
+    start = time.perf_counter()
+    with pytest.raises(ls.Overflow):
+        ls.normalize(ls.RawInstance.from_values(["1." + "0" * 299_999 + "1"], 1))
+    assert time.perf_counter() - start < 1
+
+
 # --- physical parameters -----------------------------------------------------
 
 def test_default_quantum_length_is_0_0003_m():
@@ -347,6 +448,17 @@ def test_load_instance_file_params_override(tmp_path):
     assert params.detector_gain == Fraction(10**8)
     # untouched fields keep their defaults
     assert params.delay_quantum_s == Fraction(1, 10**12)
+
+
+def test_documents_without_overrides_share_the_default_params(tmp_path):
+    paths = []
+    for i, doc in enumerate([{"set": [1], "target": 1}, {"set": [2], "target": 2, "params": {}},
+                             {"set": [3], "target": 3, "params": {"offset_k_quanta": 5}}]):
+        paths.append(tmp_path / f"inst{i}.json")
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    plain, empty, tuned = (ls.load_instance_file(p)[1] for p in paths)
+    assert plain is empty and plain == ls.PhysicalParams()
+    assert tuned.offset_k_quanta == 5 and plain.offset_k_quanta == 1
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,19 @@ def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, paths_per
                 assert hits == [expected, expected], (layout, lo, hi)
 
 
+@pytest.mark.parametrize("chains", [1, 3])
+def test_path_times_follow_subset_order(chains):
+    # one chain steps by Python ints, a batch by columns; path p takes stage
+    # s's take arc when bit s of p is set
+    rng = random.Random(chains)
+    for stages in range(7):
+        arcs = np.array([[[rng.randint(1, 10**12) for _ in range(2)] for _ in range(stages)]
+                         for _ in range(chains)], dtype=np.int64).reshape(chains, stages, 2)
+        expected = [[sum(int(chain[s][(p >> s) & 1]) for s in range(stages))
+                     for p in range(1 << stages)] for chain in arcs]
+        assert sim._path_times(arcs).tolist() == expected
+
+
 def test_split_count_multiplies_in_the_width_of_the_whole_device():
     # each half of 34 unit stages counts in uint64; their product-sum at the
     # middle moment, C(68, 34), does not fit uint64
