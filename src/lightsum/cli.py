@@ -79,8 +79,9 @@ ORACLES = {
 
 # Built once per process: building it costs about 20 times what a parse does.
 # The parser holds no functions; main looks the command up when it runs.
+# Returns the whole parser and each command's own, by name.
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("file", help="instance file (JSON with 'set' and 'target')")
     shared.add_argument("--k", type=int, default=None, metavar="QUANTA",
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum absolute length error per cable")
     p.add_argument("--trials", type=int, default=1000, help="number of trials (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    return parser
+    return parser, sub.choices
 
 
 def _load(args: argparse.Namespace) -> tuple[Instance, PhysicalParams]:
@@ -188,34 +189,63 @@ def _render(report: object) -> str:
 def _json(obj: object, newline: str) -> str:
     """obj as JSON text; `newline` is a line break followed by the indent of
     the line obj starts on."""
-    if isinstance(obj, str):  # a str Enum writes its value
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        _check_length(obj)
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return float.__repr__(obj)
-    if isinstance(obj, Fraction):
-        _check_length(obj)
-        return f'"{fraction_str(obj)}"'
+    writer = _WRITERS.get(type(obj))
+    if writer is None:
+        # A subclass (a str Enum writes its value) takes the writer of its
+        # first base in _WRITERS' order; anything else is a dataclass.
+        writer = next((w for t, w in _WRITERS.items() if isinstance(obj, t)), _dataclass)
+    return writer(obj, newline)
+
+
+def _int(obj: int, newline: str = "") -> str:
+    _check_length(obj)
+    return int.__repr__(obj)
+
+
+def _fraction(obj: Fraction, newline: str) -> str:
+    _check_length(obj)
+    return f'"{fraction_str(obj)}"'
+
+
+def _list(obj: list | tuple, newline: str) -> str:
+    if not obj:
+        return "[]"
     inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ("," + inner).join([_json(item, inner) for item in obj])
-        return f"[{inner}{body}{newline}]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-    else:
-        items = sorted((f.name, getattr(obj, f.name)) for f in fields(obj))
+    # Plain ints, such as a report's entry counts, skip the type lookup.
+    body = ("," + inner).join([_int(item) if type(item) is int else _json(item, inner)
+                               for item in obj])
+    return f"[{inner}{body}{newline}]"
+
+
+def _object(items: list[tuple[str, object]], newline: str) -> str:
     if not items:
         return "{}"
+    inner = newline + "  "
     body = ("," + inner).join([f"{_quote(key)}: {_json(value, inner)}" for key, value in items])
     return f"{{{inner}{body}{newline}}}"
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(sorted(f.name for f in fields(cls)))
+
+
+def _dataclass(obj: object, newline: str) -> str:
+    return _object([(name, getattr(obj, name)) for name in _field_names(type(obj))], newline)
+
+
+# Checked in this order for a subclass: str before the rest, bool before int.
+_WRITERS = {
+    str: lambda obj, newline: _quote(obj),
+    type(None): lambda obj, newline: "null",
+    bool: lambda obj, newline: "true" if obj else "false",
+    int: _int,
+    float: lambda obj, newline: float.__repr__(obj),
+    Fraction: _fraction,
+    list: _list,
+    tuple: _list,
+    dict: lambda obj, newline: _object(sorted(obj.items()), newline),
+}
 
 
 def _dump(path: str, layout: DeviceLayout) -> None:
@@ -313,9 +343,29 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the whole parser parses it, by the command's own
+    parser alone when argv starts with a command name.
+
+    The whole parser's pass costs about as much as the command's parse.
+    Anything else (no arguments, an unknown command, a top-level option)
+    goes through the whole parser, and it reports the arguments a command
+    leaves over, so every usage error reads as before.
+    """
+    parser, commands = build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # --help exits 0; argparse exits 2 on a usage error, which here is
         # the disagreement code, so report it as bad input.

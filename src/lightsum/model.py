@@ -148,11 +148,13 @@ def normalize(raw: RawInstance) -> Instance:
         # A number normalizes to at least 10^(adjusted + scale_exp), which is
         # past the bound once that exponent reaches its bit length; reject it
         # before any such power of ten is built (a long fraction makes
-        # scale_exp huge).
-        for d in numbers:
+        # scale_exp huge). The message names the number by its place, since
+        # its digits may be too many to print.
+        for i, d in enumerate(numbers):
             if d and d.adjusted() + scale_exp >= MAX_DELAY_QUANTA.bit_length():
+                where = "the target" if i == len(raw.values) else f"set[{i}]"
                 raise Overflow(
-                    f"{d} normalizes to at least 10^{d.adjusted() + scale_exp}, "
+                    f"{where} normalizes to at least 10^{d.adjusted() + scale_exp}, "
                     f"past the bound of {MAX_DELAY_QUANTA} quanta"
                 )
         up = 10**scale_exp

@@ -39,9 +39,11 @@ def solve_dp(instance: Instance, want_witness: bool = False) -> OracleResult:
     (shifting by it would build an integer of about that many bits). The
     verdict alone shifts by the values smallest first, so the table grows
     only as wide as the sum of the values taken so far, and stops as soon as
-    bit B is set: the mask makes that bit the table's top, so the bit length
-    tells. Witness extraction keeps index order and one snapshot per
-    element, and backtracks, so it multiplies the memory bound by n.
+    bit B is set: the table's top bit is B at most, so the bit length tells.
+    While the values taken sum to B at most, no bit above B can be set yet,
+    so the mask is applied only from the value that passes B. Witness
+    extraction keeps index order and one snapshot per element, and
+    backtracks, so it multiplies the memory bound by n.
     """
     b = instance.target
     rows = instance.n + 1 if want_witness else 1
@@ -52,10 +54,14 @@ def solve_dp(instance: Instance, want_witness: bool = False) -> OracleResult:
     mask = (1 << (b + 1)) - 1
     reach = 1
     if not want_witness:
+        taken = 0
         for a in sorted(instance.values):
             if reach.bit_length() > b or a > b:
                 break
-            reach = (reach | (reach << a)) & mask
+            reach |= reach << a
+            taken += a
+            if taken > b:
+                reach &= mask
         return OracleResult(Verdict.from_bool(reach.bit_length() > b), None, "dp")
 
     snapshots = [reach]

@@ -14,20 +14,23 @@ each stage writes the two shifted copies, summed, into a second buffer.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
 (object dtype), capped by MAX_DENSE_WORD_ADDITIONS, take over above. Longer
 horizons, such as values of 10^9, enumerate the chain's path times, at most
-MAX_PROFILE_ENTRIES of them, into one array in subset order, sort it once
-(as int32 when the horizon fits), and count each run of equal times in
-uint64.
-Times are always int64: a layout's longest path is below
+MAX_PROFILE_ENTRIES of them, into one array in subset order, sort it once,
+and count each run of equal times in uint64.
+Every time fits int64: a layout's longest path is below
 model.MAX_DELAY_QUANTA = 2^62, and a perturbed device is checked against the
-same bound in grid units.
+same bound in grid units. Each array of times takes its width from a bound
+the code already has, and is int32 below 2^31: a chain's horizon for its
+enumeration; the moment and both halves' last times for detection's sort;
+twice the larger of the longest perturbed path and the window top, plus
+one, for the trials. Otherwise it is int64, and profiles keep int64 times.
 
 The detector reads one moment, so detection never builds the whole profile.
 It cuts the chain at its middle node and propagates the first n // 2 stages
 and the rest on their own (a SplitProfile). A ray crosses both halves, so
 the rays arriving at M number sum_t left(t) * right(M - t). The keys M - t,
 taken from the left half's last time to its first, ascend as the right
-half's times do, so one linear merge of the two runs finds the pairs, and
-only the moments where they meet are looked up. M = B + n*k is below 2^63,
+half's times do, so one sort of the two runs side by side finds the pairs,
+and only the moments where they meet are looked up. M = B + n*k is below 2^63,
 since B and n*k are each below 2^62, so M - t is exact in int64. Each
 half holds at most 2^ceil(n/2) arrival times, and the caps apply per half.
 The halves are the one way the exact device is read: the solver, the epsilon
@@ -164,27 +167,46 @@ def _propagate_dense(arcs: Sequence[tuple[int, int]], horizon: int) -> ArrivalPr
     return ArrivalProfile(stage_index=len(arcs), times=times, counts=cur[times])
 
 
+def _chain_times(arcs: Sequence[tuple[int, int]], out: np.ndarray) -> np.ndarray:
+    """Every path time through one chain, in subset order, written into `out`.
+
+    Path p takes stage s's take arc when bit s of p is set and its skip arc
+    otherwise; equal times are kept. `out` has 2^stages entries and a dtype
+    that holds the chain's longest path. Path 0 skips every stage, and
+    setting bit s adds take - skip of stage s, so every entry ever written
+    is a path time; the chain is stepped by Python ints, which cost less per
+    stage than array operands.
+    """
+    out[0] = sum(skip for skip, _ in arcs)
+    for stage, (skip, take) in enumerate(arcs):
+        np.add(out[: 1 << stage], take - skip, out=out[1 << stage : 2 << stage])
+    return out
+
+
 def _path_times(arcs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Every path time through each of a batch of chains, in subset order.
 
     `arcs` has shape (chains, stages, 2). Entry (i, p) of the result is the
-    time of chain i's path p, which takes stage s's take arc when bit s of p
-    is set and its skip arc otherwise; equal times are kept. The result is
-    written into `out`, an int64 array of shape (chains, 2^stages), when one
-    is given.
+    time of chain i's path p, as `_chain_times` gives it. The result is
+    written into `out`, an int64 or int32 array of shape (chains, 2^stages)
+    whose dtype holds every path time, when one is given.
     """
     chains, stages = arcs.shape[:2]
     times = np.empty((chains, 1 << stages), dtype=np.int64) if out is None else out
-    # Path 0 skips every stage, and setting bit s adds take - skip of stage s,
-    # so every entry ever written is a path time.
+    if chains == 1:
+        _chain_times(arcs[0].tolist(), times[0])
+        return times
+    # A batch steps its rows by a column each, in the times' own dtype.
     times[:, 0] = arcs[:, :, 0].sum(axis=1)
-    steps = arcs[:, :, 1] - arcs[:, :, 0]
-    # One chain steps its row by Python ints, a batch its rows by a column
-    # each: a scalar add costs less per stage than a broadcast one.
-    rows, steps = (times[0], steps[0].tolist()) if chains == 1 else (times, steps.T[:, :, None])
-    for stage, step in enumerate(steps):
-        np.add(rows[..., : 1 << stage], step, out=rows[..., 1 << stage : 2 << stage])
+    steps = (arcs[:, :, 1] - arcs[:, :, 0]).astype(times.dtype, copy=False)
+    for stage, step in enumerate(steps.T[:, :, None]):
+        np.add(times[:, : 1 << stage], step, out=times[:, 1 << stage : 2 << stage])
     return times
+
+
+def _time_dtype(top: int) -> type:
+    # Times that stay in [-top, top] fit int32 while top is below 2^31.
+    return np.int32 if top < 2**31 else np.int64
 
 
 def _check_paths(stages: int) -> None:
@@ -212,11 +234,10 @@ def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
             )
         return _propagate_dense(arcs, horizon)
     _check_paths(stages)
-    times = _path_times(np.array(arcs, dtype=np.int64).reshape(1, stages, 2))[0]
-    if horizon < 2**31:
-        # Every path time fits int32, which numpy sorts about 1.5 times as
-        # fast as int64 (8192 path times of 13 values to 5e4, 2-vCPU VM).
-        times = times.astype(np.int32)
+    # Every path time lies in [0, horizon]. Below 2^31 they are enumerated
+    # and sorted as int32, which numpy sorts about 1.5 times as fast as int64
+    # (8192 path times of 13 values to 5e4, 2-vCPU VM).
+    times = _chain_times(arcs, np.empty(1 << stages, dtype=_time_dtype(horizon)))
     times.sort()
     # Where each run of equal times starts, and where the last one ends: a
     # run's count is the next start minus its own.
@@ -251,15 +272,25 @@ class SplitProfile:
         """Rays arriving exactly at `time`, summed over the pairs that meet there.
 
         The keys time - t, read from the left half's last time to its first,
-        ascend and are distinct, as the right half's times are. A stable sort
-        of the two runs side by side merges them in linear time (timsort
-        finds both runs), and a key equal to a right time lands next to it:
-        the equal neighbours are the moments where pairs meet. Only those few
-        are looked up in each half.
+        ascend and are distinct, as the right half's times are. Sorted side
+        by side, a key equal to a right time lands next to it: the equal
+        neighbours are the moments where pairs meet. Only those few are
+        looked up in each half. When the moment and both halves' times are
+        below 2^31, every key lies in (-2^31, 2^31) and the keys and right
+        times are sorted as int32 with the default sort, since only equal
+        neighbours are read; otherwise as int64 with a stable sort, which
+        merges the two runs in linear time (timsort finds both).
         """
         left, right = self.left, self.right
-        merged = np.concatenate((time - left.times[::-1], right.times))
-        merged.sort(kind="stable")
+        top = max(time, int(left.times[-1]), int(right.times[-1]))
+        if time >= 0 and _time_dtype(top) is np.int32:
+            merged = np.empty(len(left) + len(right), dtype=np.int32)
+            np.subtract(time, left.times[::-1], out=merged[: len(left)], casting="unsafe")
+            merged[len(left) :] = right.times
+            merged.sort()
+        else:
+            merged = np.concatenate((time - left.times[::-1], right.times))
+            merged.sort(kind="stable")
         meet = merged[1:][merged[1:] == merged[:-1]]
         if not len(meet):
             return 0
@@ -296,10 +327,12 @@ def _pair_within(left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> np.nd
     and after every one below it. A pair hits when r - (lo - l) <= hi - lo,
     and the right time of least gap above its key directly follows a key:
     a row hits when some key is directly followed by a right time within
-    2(hi - lo) + 1. In the trials times are non-negative, l + r and hi stay
-    below 2^62, and lo is negative only when no chain has a stage and every
-    time is 0; so the tagged values, and each gap from a key up to a right
-    time, fit int64.
+    2(hi - lo) + 1. The tagged values take the dtype of `left` and `right`.
+    In the trials times are non-negative, and lo is negative only when no
+    chain has a stage and every time is 0; so the tagged values, and each
+    gap from a key up to a right time, lie within 2 max(l + r, hi) + 1, which
+    the trials keep below 2^62, and below 2^31 when the times are int32. A
+    gap that wraps is one from a right time or to a key, which is never read.
     """
     merged = np.concatenate(((lo - left) * 2, right * 2 + 1), axis=1)
     merged.sort(axis=1)
@@ -576,9 +609,12 @@ def perturb_and_classify(
     chunk = min(trials, max(1, PERTURB_CHUNK_ARRIVALS >> half))
     if candidates is not None:
         # One buffer per half for every chunk: fresh ones each chunk fault
-        # in new pages on every call.
-        buffers = (np.empty((chunk, 1 << cut), dtype=np.int64),
-                   np.empty((chunk, 1 << (n - cut)), dtype=np.int64))
+        # in new pages on every call. Every value _pair_within forms lies
+        # within twice the larger of the longest perturbed path and the
+        # window top, plus one, which picks the buffers' width.
+        dtype = _time_dtype(2 * max(top_g + n * err_span, target_g + window_g) + 1)
+        buffers = (np.empty((chunk, 1 << cut), dtype=dtype),
+                   np.empty((chunk, 1 << (n - cut)), dtype=dtype))
     draw = _uniform_draws(random.Random(rng_seed), err_span)
     detected = 0
     max_err_g = 0

@@ -403,6 +403,61 @@ def test_usage_errors_are_input_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus", "{f}"],
+    ["-h"],
+    ["--k", "2", "solve", "{f}"],
+    ["solve"],
+    ["solve", "-h"],
+    ["solve", "{f}", "--verbose"],
+    ["solve", "{f}", "extra", "--verbose"],
+    ["solve", "--k=2", "{f}", "--oracle", "dp"],
+    ["compile", "{f}", "--k", "x"],
+    ["perturb", "{f}", "--max-error-m"],
+    ["perturb", "{f}", "--max-error-m", "0.0001", "--tri", "3"],
+    ["demo-epsilon", "--", "{f}"],
+])
+def test_command_parsers_read_argv_as_the_whole_parser_does(tmp_path, capsys, argv):
+    # a command name first is parsed by that command's parser alone; the
+    # namespace, the help, the usage error text and the exit code are the
+    # whole parser's
+    f = write_instance(tmp_path, {"set": [1], "target": 1})
+    argv = [a.format(f=f) for a in argv]
+    parser, _ = cli.build_parser()
+    outcomes = []
+    for parse in (parser.parse_args, cli._parse_args):
+        try:
+            outcome = vars(parse(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+        outcomes.append((outcome, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_dispatch_keeps_the_exit_codes(tmp_path, capsys):
+    f = write_instance(tmp_path, {"set": [1], "target": 1})
+    for argv in ([], ["bogus", f]):
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: lightsum [-h]")
+    assert cli.main(["solve", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: lightsum solve [-h]")
+
+
+def test_overflow_message_names_the_place_not_the_digits(tmp_path, capsys):
+    # "1." and 299 999 zeros then a 1 scales every number past the bound;
+    # the message gives the first one's place and the exponent it reaches
+    tail = "1." + "0" * 299_999 + "1"
+    for doc, place in (({"set": [tail, 2], "target": 1}, "set[0]"),
+                       ({"set": [], "target": tail}, "the target")):
+        code, report, err = run(capsys, ["solve", write_instance(tmp_path, doc)])
+        assert (code, report) == (3, None)
+        assert len(err.encode()) < 200
+        assert err.startswith(f"error: {place} normalizes to at least 10^300000,")
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["solve", "--help"]) == 0
     assert "--dump-profile" in capsys.readouterr().out

@@ -132,6 +132,60 @@ def test_enumerated_times_are_exact_on_both_sides_of_the_int32_sort():
         assert dict(profile.items()) == {2: 1, a + 2: 1, top - a: 1, top: 1}
 
 
+@pytest.mark.parametrize("epsilon", [False, True], ids=["offset", "epsilon"])
+@pytest.mark.parametrize("horizon", [2**31 - 1, 2**31])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_half_times_match_the_int64_enumerator_on_both_sides_of_2_31(epsilon, horizon, side):
+    # one half of 5 stages has a longest path of 2^31 - 1 quanta, enumerated
+    # into int32, or of 2^31, enumerated into int64; the epsilon device's
+    # skip arcs of 9 quanta outrun its values below 9, so some steps go down
+    small = [1, 2, 3, 5, 8]
+
+    def half_arcs(long):
+        values = [long, *small[1:], *small] if side == "left" else [*small, long, *small[1:]]
+        inst = ls.Instance.from_values(values, 0)
+        layout = ls.compile_epsilon_layout(inst, 9) if epsilon else ls.compile_layout(inst, P)
+        arcs = sim._arcs(layout)
+        return layout, (arcs[:5] if side == "left" else arcs[5:])
+
+    # the long value, past the skip arcs, is set so that its half's horizon
+    # lands on `horizon`
+    low = sum(max(arc) for arc in half_arcs(100)[1])
+    layout, arcs = half_arcs(horizon - low + 100)
+    assert sum(max(arc) for arc in arcs) == horizon
+    times, counts = np.unique(sim._path_times(np.array([arcs], dtype=np.int64))[0],
+                              return_counts=True)
+    half = getattr(ls.propagate_halves(layout), side)
+    assert half.times.dtype == np.int64
+    assert half.items() == list(zip(times.tolist(), counts.tolist()))
+    base = sum(skip for skip, _ in arcs)
+    expected = {base + s: c for s, c in subset_sums([take - skip for skip, take in arcs]).items()}
+    assert dict(half.items()) == expected
+
+
+@pytest.mark.parametrize("gap", [7, 3, 2], ids=["near", "below", "at"])
+@pytest.mark.parametrize("order", ["long-left", "long-right"])
+def test_count_at_matches_subset_sums_on_both_sides_of_2_31(gap, order):
+    # two values near 2^30 make a half whose longest path ends 2^31 - 5,
+    # 2^31 - 1 or 2^31 quanta from the source; the moments run across 2^31,
+    # where the four sums with both long values land (at 2^31 - 3 to 2^31
+    # when the gap is 7), and from 0, where every key time - t of the long
+    # half is negative
+    long, short = [2**30, 2**30 - gap], [1, 2]
+    values = long + short if order == "long-left" else short + long
+    inst = ls.Instance.from_values(values, 0)
+    halves = ls.propagate_halves(ls.compile_layout(inst, P))
+    longest = max(halves.left.times[-1], halves.right.times[-1])
+    assert longest == 2**31 + 2 - gap
+    sums = subset_sums(values)
+    hits = 0
+    for moment in [*range(0, 12), *range(2**31 - 12, 2**31 + 12)]:
+        count = halves.count_at(moment)
+        assert count == sums.get(moment - 4, 0), (values, moment)
+        hits += moment >= 2**31 - 12 and count
+    assert hits == 4
+
+
 def test_sparse_path_handles_values_too_long_to_pack():
     # 2^61 - 2 twice is a longest path of 2^62 - 2, just inside the delay
     # bound; 5e18 twice is past it and is rejected before anything propagates
@@ -218,11 +272,12 @@ def test_path_cap_counts_paths_before_enumerating(monkeypatch):
     # 4 equal long stages: 16 paths but only 5 distinct times, so the cap of
     # 8 is passed by the paths alone; detection and trials refuse the same
     # half with the same message
-    def never(arcs):
+    def never(arcs, *out):
         raise AssertionError("enumerated a chain past the cap")
 
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
     monkeypatch.setattr(sim, "_path_times", never)
+    monkeypatch.setattr(sim, "_chain_times", never)
     with pytest.raises(ls.ResourceLimit, match=r"2\^4") as whole:
         ls.propagate(ls.compile_layout(ls.Instance.from_values([10**9] * 4, 0), P))
     inst = ls.Instance.from_values([10**9] * 8, 0)
@@ -529,6 +584,42 @@ def test_perturbation_matches_a_naive_reference_on_small_devices():
         expected = perturbation_outcome(values, target, 1, span, grid, 24, seed)
         got = perturb_outcome(values, target, span, 24, seed)
         assert got == expected, (values, target, quanta)
+
+
+@pytest.mark.parametrize("top", [1072, 1073])
+def test_perturbation_matches_the_reference_on_both_sides_of_the_int32_trials(top):
+    # Trials hold their times as int32 while twice the larger of the longest
+    # perturbed path and the window top, plus one, is below 2^31 grid units.
+    # Six values cut within a quarter quantum drift by 1.5 quanta at most: a
+    # longest path of 1072 quanta makes the path term 2^31 - 483647, one of
+    # 1073 makes it 2^31 + 1516353. A target two quanta past the longest
+    # path makes the window top the larger term, with the same two bounds at
+    # moments of 1073 and 1074 quanta. Targets on, beside and past the sums
+    # run trials that keep some half-paths, and some trials misclassify.
+    grid, span, k = sim.PERTURB_GRID, sim.PERTURB_GRID // 4, 1
+    misclassified = 0
+    for longest, targets in ((top, (500, 501, top - 7, top - 6)), (top - 1, (top - 5,))):
+        values = [100, 150, 170, 190, 210, longest - 826]
+        assert sum(values) + 6 * k == longest
+        for target in targets:
+            bound = 2 * max(longest * grid + 6 * span, (target + 6 * k) * grid + grid // 2) + 1
+            assert (bound < 2**31) == (top == 1072)
+            expected = perturbation_outcome(values, target, k, span, grid, 40, seed=target)
+            assert perturb_outcome(values, target, span, 40, target, k) == expected, (values, target)
+            misclassified += expected[0]
+    assert misclassified > 0
+
+
+@pytest.mark.parametrize("values,target,span", [
+    ([19, 1054, 28], 1074, sim.PERTURB_GRID // 4),
+    ([3, 1095, 18, 9, 23], 22, sim.PERTURB_GRID // 10),
+])
+def test_perturbation_past_the_int32_bound_matches_the_reference(values, target, span):
+    # longest paths of 1104 and 1153 quanta: a trial's doubled keys and
+    # times pass 2^31 grid units; wrapped in int32, each would read 20
+    # false positives where the reference has none
+    expected = perturbation_outcome(values, target, 1, span, sim.PERTURB_GRID, 20, seed=1)
+    assert perturb_outcome(values, target, span, 20, 1) == expected
 
 
 def test_every_trial_detects_a_path_on_the_target_while_n_errors_fit_the_window():
