@@ -279,7 +279,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "oracle": oracle,
         "agreement": agreement,
         "feasibility": feasibility,
-        "stats": {"half_entries": [len(halves.left), len(halves.right)]},
+        "stats": {"half_entries": halves.half_entries},
         "timing": timing,
     })
     if args.dump_profile:

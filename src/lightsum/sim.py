@@ -14,27 +14,31 @@ each stage writes the two shifted copies, summed, into a second buffer.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
 (object dtype), capped by MAX_DENSE_WORD_ADDITIONS, take over above. Longer
 horizons, such as values of 10^9, enumerate the chain's path times, at most
-MAX_PROFILE_ENTRIES of them, into one array in subset order, sort it once,
-and count each run of equal times in uint64.
+MAX_PROFILE_ENTRIES of them, into one array in subset order, one entry per
+path: a half is kept so, and only the whole profile (`propagate`, for a
+dump) sorts it and counts each run of equal times in uint64.
 Every time fits int64: a layout's longest path is below
 model.MAX_DELAY_QUANTA = 2^62, and a perturbed device is checked against the
 same bound in grid units. Each array of times takes its width from a bound
 the code already has, and is int32 below 2^31: a chain's horizon for its
-enumeration; the moment and both halves' last times for detection's sort;
-twice the larger of the longest perturbed path and the window top, plus
-one, for the trials. Otherwise it is int64, and profiles keep int64 times.
+enumeration; twice the moment and both halves' latest times, plus one, for
+detection's tagged sort; twice the larger of the longest perturbed path and
+the window top, plus one, for the trials. Otherwise it is int64, and
+counted profiles keep int64 times.
 
 The detector reads one moment, so detection never builds the whole profile.
 It cuts the chain at its middle node and propagates the first n // 2 stages
 and the rest on their own (a SplitProfile). A ray crosses both halves, so
-the rays arriving at M number sum_t left(t) * right(M - t). The keys M - t,
-taken from the left half's last time to its first, ascend as the right
-half's times do, so one sort of the two runs side by side finds the pairs,
-and only the moments where they meet are looked up. M = B + n*k is below 2^63,
-since B and n*k are each below 2^62, so M - t is exact in int64. Each
-half holds at most 2^ceil(n/2) arrival times, and the caps apply per half.
-The halves are the one way the exact device is read: the solver, the epsilon
-demonstration and the perturbation pre-pass read them, and the whole profile
+the rays arriving at M number sum_t left(t) * right(M - t). Both halves go
+into one buffer, each left time t as the key 2(M - t) and each right time r
+as 2r + 1, and one sort brings a key directly before the right time one
+above it where a pair meets; from the same runs of equal values come the
+multiplicity of each meet and each half's distinct times. M = B + n*k is
+below 2^63, since B and n*k are each below 2^62, and past 2^62, where no
+pair can meet, a key may wrap in int64 without merging two. Each half holds
+at most 2^ceil(n/2) entries, and the caps apply per half. The halves are
+the one way the exact device is read: the solver, the epsilon demonstration
+and the perturbation pre-pass read them, and the whole profile
 (`propagate`) is built only to be dumped.
 
 Perturbation trials cut their chains at the same node. A cable cut with an
@@ -42,22 +46,24 @@ error of at most e moves a path by at most n*e, so before the first trial the
 exact halves' times are read against each other: every trial detects when
 some pair lies within the window narrowed by n*e, none can when no pair lies
 within the window widened by n*e, and otherwise a half-path is a candidate
-when some partner brings the pair within the widened window. A half
-enumerates its exact paths, to mark its candidates, only when it keeps a
-proper subset of them. This pre-pass propagates as the detector does, so its
-cost, dense or enumerated, follows DENSE_PATHS_PER_SLOT. The trials count no
-rays and run on path-time arrays alone. A chunk of trials draws its cable
-errors in one batch, as `random.Random.randint` draws them one by one. Unless
-the exact halves decide every trial, it enumerates each half's perturbed path
-times for the whole chunk into a buffer kept across chunks, with the same
-enumerator run on a (trials, paths) array, keeps the candidates, and reads
-every trial's window with one row sort.
+when some partner brings the pair within the widened window. An enumerated
+half is sorted in place and counted for this, and a half enumerates its
+exact paths again, to mark its candidates, only when it keeps a proper
+subset of them. This pre-pass propagates as the detector
+does, so its cost, dense or enumerated, follows DENSE_PATHS_PER_SLOT. The
+trials count no rays and run on path-time arrays alone. A chunk of trials
+draws its cable errors in one batch, as `random.Random.randint` draws them
+one by one. Unless the exact halves decide every trial, it enumerates the
+tagged path times of both perturbed halves for the whole chunk into one
+buffer kept across chunks, with the tags folded into each half's base and
+steps and the candidates kept, and reads every trial's window with one row
+sort.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Callable, Sequence
 
@@ -103,19 +109,20 @@ WRITE_PROFILE_ROWS = 1 << 12
 # trial classification is exact integer arithmetic end to end.
 PERTURB_GRID = 10**6
 
-# One perturbation trial enumerates at most two halves of 2^ceil(n/2)
-# arrivals each, plus a fixed cost. Measured on a 2-vCPU VM: a trial that
-# enumerates nothing (no pair can reach the window, or one always does) costs
-# about 0.03 us plus 0.03 us per drawn error, and an enumerated arrival about
-# 11-19 ns at n = 30-40 when every half-path is a candidate. A run is capped
-# at trials * (2^ceil(n/2) + 2^12) arrivals. The fixed charge of 2^12 lies far
-# above the fixed cost, since trials were dearer before they were batched and
-# their errors drawn in bulk, and is kept so that the same runs exceed the
-# cap. From per-trial times measured there at n = 1 to 40, a run at the cap
-# comes to about half a minute at most (28 s at n = 40, where 1020 trials
-# enumerate every half-path).
+# A run is capped at MAX_PERTURB_ARRIVALS arrivals, charged per trial. A trial
+# that enumerates is charged its 2^ceil(n/2) arrivals per half, one that the
+# exact halves decide its 2n drawn errors, and each a fixed
+# PERTURB_TRIAL_ARRIVALS on top. Measured on a 2-vCPU VM: a decided trial
+# costs about 0.08 us at n = 1 and 19-25 us at n = 32-40, where a chunk holds
+# one trial, so about 1.2e6 of them fill half a minute; the fixed charge of
+# 2^11 holds a run of them at the cap to about 13 s, and lets 300 000 decided
+# trials at n = 3 run (0.1 s). An enumerating trial costs 0.3-0.8 us at
+# n = 1-4 and 80-100 us at n = 24 when every half-path is a candidate, so a
+# run at the cap takes 0.2-0.4 s and 14-17 s there; from n = 24 on its
+# arrivals set the charge, and a run at the cap takes 19-29 s at n = 28-36
+# and 33-41 s at n = 40 (1022 trials).
 MAX_PERTURB_ARRIVALS = 1 << 30
-PERTURB_TRIAL_ARRIVALS = 1 << 12
+PERTURB_TRIAL_ARRIVALS = 1 << 11
 
 # Perturbation trials run a chunk at a time, as many trials as keep each half
 # at about this many arrivals (one trial when a half alone holds more), so one
@@ -125,22 +132,29 @@ PERTURB_CHUNK_ARRIVALS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class ArrivalProfile:
-    """Arrival moments at a node: sorted times (quanta) with positive ray counts.
+    """Arrival moments at a node, in quanta.
 
-    Times are int64; counts are uint64 up to 63 stages and object (Python
-    ints) above.
+    A counted profile holds sorted distinct int64 times with positive ray
+    counts, uint64 up to 63 stages and object (Python ints) above. An
+    enumerated half (`counts` None) holds one entry per path instead: every
+    path's time in subset order, equal times repeated, int32 when the
+    chain's longest path is below 2^31 and int64 otherwise.
     """
 
     stage_index: int
     times: np.ndarray
-    counts: np.ndarray
+    counts: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.times)
 
     def items(self) -> list[tuple[int, int]]:
         """(time, count) pairs in ascending time, as plain ints."""
-        return list(zip(self.times.tolist(), self.counts.tolist()))
+        if self.counts is None:
+            times, counts = _runs(np.sort(self.times))
+        else:
+            times, counts = self.times, self.counts
+        return list(zip(times.tolist(), counts.tolist()))
 
 
 def _count_dtype(n: int) -> type:
@@ -167,6 +181,19 @@ def _propagate_dense(arcs: Sequence[tuple[int, int]], horizon: int) -> ArrivalPr
     return ArrivalProfile(stage_index=len(arcs), times=times, counts=cur[times])
 
 
+def _runs(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted path times as their distinct times (int64) and the paths at each (uint64)."""
+    # Where each run of equal times starts, and where the last one ends: a
+    # run's count is the next start minus its own.
+    edges = np.empty(len(times) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(times[1:], times[:-1], out=edges[1:-1])
+    starts = np.flatnonzero(edges)
+    counts = np.empty(len(starts) - 1, dtype=np.uint64)
+    np.subtract(starts[1:], starts[:-1], out=counts, casting="unsafe")
+    return times[starts[:-1]].astype(np.int64), counts
+
+
 def _chain_times(arcs: Sequence[tuple[int, int]], out: np.ndarray) -> np.ndarray:
     """Every path time through one chain, in subset order, written into `out`.
 
@@ -183,25 +210,21 @@ def _chain_times(arcs: Sequence[tuple[int, int]], out: np.ndarray) -> np.ndarray
     return out
 
 
-def _path_times(arcs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Every path time through each of a batch of chains, in subset order.
+def _path_times(base: np.ndarray, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Every path value of each of a batch of chains, in subset order, written into `out`.
 
-    `arcs` has shape (chains, stages, 2). Entry (i, p) of the result is the
-    time of chain i's path p, as `_chain_times` gives it. The result is
-    written into `out`, an int64 or int32 array of shape (chains, 2^stages)
-    whose dtype holds every path time, when one is given.
+    Entry (i, p) of `out`, of shape (chains, 2^stages), is base[i] plus
+    steps[i, s] for every bit s set in p. With the sum of the skip arcs for
+    base and take - skip for the steps, these are the path times, as
+    `_chain_times` writes them; an affine map of every path time, such as a
+    tag, is folded into the base and the steps. `out` may be a column slice
+    of a wider buffer, and its dtype must hold every path value: the rows
+    are stepped a column at a time in that dtype.
     """
-    chains, stages = arcs.shape[:2]
-    times = np.empty((chains, 1 << stages), dtype=np.int64) if out is None else out
-    if chains == 1:
-        _chain_times(arcs[0].tolist(), times[0])
-        return times
-    # A batch steps its rows by a column each, in the times' own dtype.
-    times[:, 0] = arcs[:, :, 0].sum(axis=1)
-    steps = (arcs[:, :, 1] - arcs[:, :, 0]).astype(times.dtype, copy=False)
-    for stage, step in enumerate(steps.T[:, :, None]):
-        np.add(times[:, : 1 << stage], step, out=times[:, 1 << stage : 2 << stage])
-    return times
+    out[:, 0] = base
+    for stage, step in enumerate(steps.astype(out.dtype, copy=False).T[:, :, None]):
+        np.add(out[:, : 1 << stage], step, out=out[:, 1 << stage : 2 << stage])
+    return out
 
 
 def _time_dtype(top: int) -> type:
@@ -220,8 +243,8 @@ def _check_paths(stages: int) -> None:
 
 def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
     # Dense while the horizon is short next to the 2^stages paths, else every
-    # path time is enumerated and each run of equal times counted. Past 22
-    # stages, too many paths to enumerate, every horizon that fits runs dense.
+    # path time is enumerated, one entry per path. Past 22 stages, too many
+    # paths to enumerate, every horizon that fits runs dense.
     horizon = sum(max(arc) for arc in arcs)
     stages = len(arcs)
     slots = horizon + 1
@@ -234,21 +257,11 @@ def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
             )
         return _propagate_dense(arcs, horizon)
     _check_paths(stages)
-    # Every path time lies in [0, horizon]. Below 2^31 they are enumerated
-    # and sorted as int32, which numpy sorts about 1.5 times as fast as int64
-    # (8192 path times of 13 values to 5e4, 2-vCPU VM).
+    # Every path time lies in [0, horizon], so below 2^31 they are int32,
+    # which numpy sorts about 1.5 times as fast as int64 (8192 path times of
+    # 13 values to 5e4, 2-vCPU VM).
     times = _chain_times(arcs, np.empty(1 << stages, dtype=_time_dtype(horizon)))
-    times.sort()
-    # Where each run of equal times starts, and where the last one ends: a
-    # run's count is the next start minus its own.
-    edges = np.empty(len(times) + 1, dtype=bool)
-    edges[0] = edges[-1] = True
-    np.not_equal(times[1:], times[:-1], out=edges[1:-1])
-    starts = np.flatnonzero(edges)
-    counts = np.empty(len(starts) - 1, dtype=np.uint64)
-    np.subtract(starts[1:], starts[:-1], out=counts, casting="unsafe")
-    return ArrivalProfile(stage_index=stages, times=times[starts[:-1]].astype(np.int64),
-                          counts=counts)
+    return ArrivalProfile(stage_index=stages, times=times, counts=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,50 +269,92 @@ class SplitProfile:
     """A device cut at its middle node: the profiles of its two halves.
 
     `left` went through the first n // 2 stages and `right` through the
-    rest. Every ray crosses both, so the rays arriving at moment M number
-    sum_t left(t) * right(M - t); a moment is read from the halves without
-    building the whole profile.
+    rest, each a dense profile, distinct times with their counts, or an
+    enumerated half, one entry per path. Every ray crosses both, so the rays
+    arriving at moment M number sum_t left(t) * right(M - t); a moment is
+    read from the halves without building the whole profile.
     """
 
     left: ArrivalProfile
     right: ArrivalProfile
+    # Each half's distinct arrival times, [left, right], as count_at read them.
+    _entries: list[int] = field(default_factory=list, init=False, repr=False)
 
     @property
     def stage_index(self) -> int:
         return self.left.stage_index + self.right.stage_index
 
-    def count_at(self, time: int) -> int:
-        """Rays arriving exactly at `time`, summed over the pairs that meet there.
+    @property
+    def half_entries(self) -> list[int]:
+        """The number of distinct arrival times in the left and in the right half.
 
-        The keys time - t, read from the left half's last time to its first,
-        ascend and are distinct, as the right half's times are. Sorted side
-        by side, a key equal to a right time lands next to it: the equal
-        neighbours are the moments where pairs meet. Only those few are
-        looked up in each half. When the moment and both halves' times are
-        below 2^31, every key lies in (-2^31, 2^31) and the keys and right
-        times are sorted as int32 with the default sort, since only equal
-        neighbours are read; otherwise as int64 with a stable sort, which
-        merges the two runs in linear time (timsort finds both).
+        `count_at` counts them on its way, whatever the moment; before any
+        read, a read at moment 0 counts them.
+        """
+        if not self._entries:
+            self.count_at(0)
+        return list(self._entries)
+
+    def count_at(self, time: int) -> int:
+        """Rays arriving exactly at `time` (below 2^63), summed over the pairs that meet there.
+
+        Both halves go into one buffer, tagged by parity: each left time l as
+        the key 2(time - l) and each right time r as 2r + 1, and the buffer is
+        sorted once. A left time and a right time meet when r = time - l, and
+        then the run of the key 2r is directly followed by the run of 2r + 1,
+        since no value lies between: two neighbours that differ in the tag
+        bit alone. Only those few meets are looked up. An entry stands for as
+        many paths as its run is long in an enumerated half, and for its
+        count, found by searchsorted, in a dense one; the products are taken
+        in the count dtype of the whole device. The same runs give each
+        half's distinct times for `half_entries`: its entries less those equal
+        to the entry before them.
+
+        The buffer is int32 when 2 max(time, both halves' latest times) + 1 is
+        below 2^31, so that no value wraps, and int64 otherwise. A key wraps
+        there only when time - l reaches 2^62, past the latest sum l + r of a
+        layout, where no pair meets: read modulo 2^64, keys of distinct left
+        times stay distinct, since left times span less than 2^62, and none
+        equals a right time less one, since time - l - r lies in (0, 2^63).
         """
         left, right = self.left, self.right
-        top = max(time, int(left.times[-1]), int(right.times[-1]))
-        if time >= 0 and _time_dtype(top) is np.int32:
-            merged = np.empty(len(left) + len(right), dtype=np.int32)
-            np.subtract(time, left.times[::-1], out=merged[: len(left)], casting="unsafe")
-            merged[len(left) :] = right.times
-            merged.sort()
-        else:
-            merged = np.concatenate((time - left.times[::-1], right.times))
-            merged.sort(kind="stable")
-        meet = merged[1:][merged[1:] == merged[:-1]]
-        if not len(meet):
+        moment = max(time, -1)  # no ray arrives before 0
+        dtype = _time_dtype(2 * max(moment, int(left.times.max()), int(right.times.max())) + 1)
+        split = len(left)
+        tagged = np.empty(split + len(right), dtype=dtype)
+        np.subtract(moment, left.times, out=tagged[:split], dtype=dtype, casting="unsafe")
+        np.left_shift(right.times, 1, out=tagged[split:], dtype=dtype, casting="unsafe")
+        tagged[:split] <<= 1
+        tagged[split:] |= 1
+        tagged.sort()
+        # An entry equal to the one before it repeats its half's time, an odd
+        # one a right time.
+        bits = tagged[1:] ^ tagged[:-1]
+        repeats = bits == 0
+        odd_repeats = np.empty(len(bits), dtype=bool)
+        np.bitwise_and(tagged[1:], 1, out=odd_repeats, casting="unsafe")
+        odd_repeats &= repeats
+        right_repeats = int(np.count_nonzero(odd_repeats))
+        self._entries[:] = [split - int(np.count_nonzero(repeats)) + right_repeats,
+                            len(right) - right_repeats]
+        meets = np.flatnonzero(bits == 1)
+        if not len(meets):
             return 0
+        # A meet's key run ends at `meets`, its time run starts one after.
+        after = meets + 1
+        times = tagged[after]
+        if left.counts is None:
+            paths_left = after - np.searchsorted(tagged, tagged[meets])
+        else:
+            paths_left = left.counts[np.searchsorted(left.times, moment - (times >> 1))]
+        if right.counts is None:
+            paths_right = np.searchsorted(tagged, times, side="right") - after
+        else:
+            paths_right = right.counts[np.searchsorted(right.times, times >> 1)]
         # Each half's counts fit its own dtype, a product of two may not:
         # multiply in the dtype of the whole device.
-        dtype = _count_dtype(self.stage_index)
-        lc = left.counts[np.searchsorted(left.times, time - meet)].astype(dtype)
-        rc = right.counts[np.searchsorted(right.times, meet)].astype(dtype)
-        return int((lc * rc).sum())
+        count = _count_dtype(self.stage_index)
+        return int((paths_left.astype(count) * paths_right.astype(count)).sum())
 
 
 def _arcs(layout: DeviceLayout) -> list[tuple[int, int]]:
@@ -319,42 +374,69 @@ def _partnered(own: np.ndarray, other: np.ndarray, lo: int, hi: int) -> np.ndarr
     return ((i < len(other)) & (first <= keys + (hi - lo)))[::-1]
 
 
-def _pair_within(left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Whether each row has a left time l and a right time r with lo <= l + r <= hi.
+def _candidates(times: np.ndarray, counts: np.ndarray, near: np.ndarray,
+                arcs: Sequence[tuple[int, int]]) -> np.ndarray | None:
+    """The subset-order indices of the chain's paths whose time is a `near` one.
 
-    Each row sorts its keys lo - l, as 2(lo - l), together with its right
-    times, as 2r + 1, so a key sorts before every right time at or above it
-    and after every one below it. A pair hits when r - (lo - l) <= hi - lo,
-    and the right time of least gap above its key directly follows a key:
-    a row hits when some key is directly followed by a right time within
-    2(hi - lo) + 1. The tagged values take the dtype of `left` and `right`.
-    In the trials times are non-negative, and lo is negative only when no
-    chain has a stage and every time is 0; so the tagged values, and each
-    gap from a key up to a right time, lie within 2 max(l + r, hi) + 1, which
-    the trials keep below 2^62, and below 2^31 when the times are int32. A
-    gap that wraps is one from a right time or to a key, which is never read.
+    `times` and `counts` are a half's distinct times and the paths at each,
+    `near` marks some of the times, at least one, and `arcs` is the chain the
+    half went through. None when at least half of the paths qualify: finding
+    a subset costs more than so small a saving. Only a proper subset
+    enumerates the chain's paths.
     """
-    merged = np.concatenate(((lo - left) * 2, right * 2 + 1), axis=1)
-    merged.sort(axis=1)
-    tags = merged & 1
-    key_then_time = tags[:, :-1] < tags[:, 1:]
-    return (key_then_time & (np.diff(merged, axis=1) <= 2 * (hi - lo) + 1)).any(axis=1)
-
-
-def _candidates(half: ArrivalProfile, near: np.ndarray, arcs: np.ndarray) -> np.ndarray | None:
-    """The subset-order indices of the half's paths whose time is a `near` one.
-
-    `near` marks some of `half.times`, at least one; `arcs`, of shape
-    (stages, 2), is the chain the half went through. None when at least half
-    of the paths qualify: finding a subset costs more than so small a saving.
-    Only a proper subset enumerates the chain's paths.
-    """
-    if 2 * int(half.counts[near].sum()) >= 1 << half.stage_index:
+    if 2 * int(counts[near].sum()) >= 1 << len(arcs):
         return None
-    paths = _path_times(arcs[None])[0]
-    times = half.times[near]
-    i = np.minimum(np.searchsorted(times, paths), len(times) - 1)
-    return np.flatnonzero(times[i] == paths)
+    paths = _chain_times(arcs, np.empty(1 << len(arcs), dtype=np.int64))
+    near_times = times[near]
+    i = np.minimum(np.searchsorted(near_times, paths), len(near_times) - 1)
+    return np.flatnonzero(near_times[i] == paths)
+
+
+def _pairs_within(arcs: np.ndarray, cut: int, lo: int, hi: int,
+                  keep: tuple[np.ndarray | None, np.ndarray | None], tagged: np.ndarray,
+                  whole: tuple[np.ndarray | None, np.ndarray | None]) -> np.ndarray:
+    """Whether each trial has a left path l and a right path r with lo <= l + r <= hi.
+
+    `arcs`, of shape (trials, stages, 2), holds each trial's chain, cut after
+    its first `cut` stages; a half reads only the paths `keep` lists for it,
+    or all of them when that is None. Each row of `tagged` receives its
+    trial's keys lo - l, as 2(lo - l), and then its right times, as 2r + 1.
+    The tags are folded into each half's base and steps, so the enumeration
+    writes tagged values: straight into `tagged` for a half read whole, and
+    into that half's buffer in `whole`, of 2^stages columns, for one that
+    keeps some paths. After one sort of each row, a key sorts before every
+    right time at or above it and after every one below it. A pair hits when
+    r - (lo - l) <= hi - lo, and the right time of least gap above its key
+    directly follows a key: a row hits when some key is directly followed by
+    a right time within 2(hi - lo) + 1.
+
+    In the trials times are non-negative, and lo is negative only when no
+    chain has a stage and every time is 0; so the tagged values, those the
+    enumeration passes through included, and each gap from a key up to a
+    right time lie within 2 max(l + r, hi) + 1, which the trials keep below
+    2^62, and below 2^31 when `tagged` is int32. A gap that wraps is one from
+    a right time or to a key, which is never read.
+    """
+    doubled = 2 * arcs
+    skips = doubled[..., 0]
+    steps = doubled[..., 1] - skips
+    steps[:, :cut] *= -1
+    bases = (2 * lo - skips[:, :cut].sum(axis=1), skips[:, cut:].sum(axis=1) + 1)
+    start = 0
+    for base, step, kept, buffer in zip(bases, (steps[:, :cut], steps[:, cut:]), keep, whole):
+        width = 1 << step.shape[1] if kept is None else len(kept)
+        part = tagged[:, start : start + width]
+        if kept is None:
+            _path_times(base, step, part)
+        else:
+            np.take(_path_times(base, step, buffer), kept, axis=1, out=part)
+        start += width
+    tagged.sort(axis=1)
+    odd = np.empty(tagged.shape, dtype=bool)
+    np.bitwise_and(tagged, 1, out=odd, casting="unsafe")
+    key_then_time = odd[:, :-1] < odd[:, 1:]
+    key_then_time &= np.diff(tagged, axis=1) <= 2 * (hi - lo) + 1
+    return key_then_time.any(axis=1)
 
 
 def _uniform_draws(rng: random.Random, span: int) -> Callable[[int], np.ndarray]:
@@ -402,7 +484,11 @@ def propagate(layout: DeviceLayout) -> ArrivalProfile:
     (the empty subset) arrives at n*k and the latest (the full set) at
     sum(a_i) + n*k.
     """
-    return _propagate_chain(_arcs(layout))
+    profile = _propagate_chain(_arcs(layout))
+    if profile.counts is None:
+        profile.times.sort()
+        profile = ArrivalProfile(profile.stage_index, *_runs(profile.times))
+    return profile
 
 
 def propagate_halves(layout: DeviceLayout) -> SplitProfile:
@@ -543,18 +629,22 @@ def perturb_and_classify(
     times against each other: every trial detects when some pair lies within
     half a quantum minus n * error of the target, and a half-path is a
     candidate when some partner makes a pair within half a quantum plus
-    n * error. The counts of the candidate times tell whether a half keeps a
-    proper subset of its paths; only then are its exact paths enumerated to
-    mark which. Trials run PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time
-    (at least one). A chunk draws and checks its errors; unless some pair
-    always detects or none can, it enumerates every path time of its
-    perturbed halves and reads the window from the candidates alone.
+    n * error; an enumerated half is sorted and counted once for this. The
+    ray counts of the candidate times tell whether a half keeps a proper
+    subset of its paths; only then are its exact paths enumerated to mark
+    which. Trials run
+    PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time (at least one). A chunk
+    draws and checks its errors; unless some pair always detects or none
+    can, it enumerates the tagged path times of its perturbed halves into one
+    buffer and reads the window from the candidates alone.
 
     A half past the path cap that detection checks raises ResourceLimit
-    before the first trial, as do trials * (2^ceil(n/2) +
-    PERTURB_TRIAL_ARRIVALS) over MAX_PERTURB_ARRIVALS and a longest perturbed
-    path or a window top that could reach MAX_DELAY_QUANTA in grid units,
-    where int64 times would overflow.
+    before the first trial, as does a longest perturbed path or a window top
+    that could reach MAX_DELAY_QUANTA in grid units, where int64 times would
+    overflow. After the pre-pass, so does a run whose trials, each charged
+    PERTURB_TRIAL_ARRIVALS plus its 2^ceil(n/2) arrivals per half when the
+    trials enumerate and its 2n drawn errors when the exact halves decide
+    them, pass MAX_PERTURB_ARRIVALS.
     """
     max_error = to_fraction(max_error_m)
     if max_error < 0:
@@ -563,11 +653,6 @@ def perturb_and_classify(
         raise InvalidValue("trials must be >= 1")
     n = len(layout.stages)
     half = (n + 1) // 2
-    if trials * (2**half + PERTURB_TRIAL_ARRIVALS) > MAX_PERTURB_ARRIVALS:
-        raise ResourceLimit(
-            f"{trials} trials of 2^{half} arrivals per half, plus {PERTURB_TRIAL_ARRIVALS} "
-            f"per trial, exceed the cap of {MAX_PERTURB_ARRIVALS} arrivals"
-        )
 
     # Everything below is integer arithmetic in grid units of quantum/1e6.
     err_span = int(max_error * PERTURB_GRID / params.quantum_length_m)
@@ -584,37 +669,66 @@ def perturb_and_classify(
             f"(quantum/{PERTURB_GRID})"
         )
     _check_paths(half)
-    oracle_yes = solve_auto(instance).verdict is Verdict.YES
 
     # A perturbed path lies within n*err_span grid units of its exact time of
     # S quanta. It can land in the window only when |S - moment| <= near, and
     # lands there in every trial when |S - moment| <= sure (none if negative).
+    # The pre-pass reads counted profiles. It owns these halves, so an
+    # enumerated one is sorted in place and counted: sorting a copy to keep
+    # the subset order costs more than enumerating a proper subset's chain
+    # again in _candidates.
     moment = instance.target + n * params.offset_k_quanta
     near = (window_g + n * err_span) // PERTURB_GRID
     sure = (window_g - n * err_span) // PERTURB_GRID
     halves = propagate_halves(layout)
-    left, right = halves.left.times, halves.right.times
+    counted = []
+    for h in (halves.left, halves.right):
+        if h.counts is None:
+            h.times.sort()
+            counted.append(_runs(h.times))
+        else:
+            counted.append((h.times, h.counts))
+    # The searches below allocate arrays the size of the halves: dropping
+    # the enumerated entries first lets them reuse that memory, where keeping
+    # them cost 3-7% of the pre-pass at n = 34-40 (2-vCPU VM).
+    del halves, h
+    (left, _), (right, _) = counted
     always = sure >= 0 and bool(_partnered(left, right, moment - sure, moment + sure).any())
     cut = n // 2
-    exact = np.array(_arcs(layout), dtype=np.int64).reshape(n, 2)
+    exact = _arcs(layout)
     candidates = None
     if not always:
         near_left = _partnered(left, right, moment - near, moment + near)
         if near_left.any():
             near_right = _partnered(right, left, moment - near, moment + near)
-            candidates = (_candidates(halves.left, near_left, exact[:cut]),
-                          _candidates(halves.right, near_right, exact[cut:]))
+            candidates = (_candidates(*counted[0], near_left, exact[:cut]),
+                          _candidates(*counted[1], near_right, exact[cut:]))
 
-    exact_g = exact * PERTURB_GRID
+    # A trial the exact halves decide draws its errors and enumerates nothing.
+    if candidates is None:
+        charge, what = 2 * n, f"{2 * n} drawn errors"
+    else:
+        charge, what = 2**half, f"2^{half} arrivals per half"
+    if trials * (charge + PERTURB_TRIAL_ARRIVALS) > MAX_PERTURB_ARRIVALS:
+        raise ResourceLimit(
+            f"{trials} trials of {what}, plus {PERTURB_TRIAL_ARRIVALS} per trial, exceed "
+            f"the cap of {MAX_PERTURB_ARRIVALS} arrivals"
+        )
+    oracle_yes = solve_auto(instance).verdict is Verdict.YES
+
+    exact_g = np.array(exact, dtype=np.int64).reshape(n, 2) * PERTURB_GRID
     chunk = min(trials, max(1, PERTURB_CHUNK_ARRIVALS >> half))
     if candidates is not None:
-        # One buffer per half for every chunk: fresh ones each chunk fault
-        # in new pages on every call. Every value _pair_within forms lies
-        # within twice the larger of the longest perturbed path and the
-        # window top, plus one, which picks the buffers' width.
+        # The buffers serve every chunk: fresh ones each chunk fault in new
+        # pages on every call. Every value _pairs_within forms lies within
+        # twice the larger of the longest perturbed path and the window top,
+        # plus one, which picks their width.
         dtype = _time_dtype(2 * max(top_g + n * err_span, target_g + window_g) + 1)
-        buffers = (np.empty((chunk, 1 << cut), dtype=dtype),
-                   np.empty((chunk, 1 << (n - cut)), dtype=dtype))
+        stages = (cut, n - cut)
+        width = sum(1 << s if keep is None else len(keep) for s, keep in zip(stages, candidates))
+        tagged = np.empty((chunk, width), dtype=dtype)
+        whole = tuple(None if keep is None else np.empty((chunk, 1 << s), dtype=dtype)
+                      for s, keep in zip(stages, candidates))
     draw = _uniform_draws(random.Random(rng_seed), err_span)
     detected = 0
     max_err_g = 0
@@ -634,10 +748,8 @@ def perturb_and_classify(
         if always:
             detected += c
         elif candidates is not None:
-            times = (_path_times(arcs[:, :cut], buffers[0][:c]),
-                     _path_times(arcs[:, cut:], buffers[1][:c]))
-            left, right = (t if keep is None else t[:, keep] for t, keep in zip(times, candidates))
-            hits = _pair_within(left, right, target_g - window_g, target_g + window_g)
+            hits = _pairs_within(arcs, cut, target_g - window_g, target_g + window_g, candidates,
+                                 tagged[:c], tuple(w if w is None else w[:c] for w in whole))
             detected += int(hits.sum())
 
     # Every trial of a YES instance that detects nothing is a false negative,

@@ -612,6 +612,43 @@ def test_perturb_trials_past_the_arrival_cap_are_a_resource_limit(tmp_path, caps
     assert "resource limit" in err
 
 
+def test_perturb_trials_the_exact_halves_decide_are_charged_their_draws(tmp_path, capsys):
+    # cut within 0.1 quantum, 3 cables drift by less than half a quantum, so
+    # every trial on {1, 2, 3} detects the pair on 5 without enumerating:
+    # 300 000 trials are charged 6 draws and the fixed charge each
+    f = write_instance(tmp_path, {"set": [1, 2, 3], "target": 5})
+    code, report, err = run(capsys, [
+        "perturb", f, "--max-error-m", "0.00003", "--trials", "300000",
+    ])
+    assert (code, err) == (0, "")
+    assert (report["trials"], report["misclassified"]) == (300000, 0)
+
+
+@pytest.mark.parametrize("doc,entries", [
+    # 12 values of 10^6: each half's 64 paths arrive at 7 distinct times
+    ({"set": [10**6] * 12, "target": 3 * 10**6}, [7, 7]),
+    # n = 13: a dense left half of 6 unit stages, 7 times, and an enumerated
+    # right half of 7 stages, whose 128 paths arrive at 64 distinct times
+    ({"set": [1] * 6 + [10**6 + i for i in range(7)], "target": 2000004}, [7, 64]),
+])
+def test_half_entries_count_distinct_times_of_repeated_paths(tmp_path, capsys, doc, entries):
+    f = write_instance(tmp_path, doc)
+    code, report, _ = run(capsys, ["solve", f, "--oracle", "dp"])
+    assert code == 0
+    assert report["stats"] == {"half_entries": entries}
+
+
+def test_a_moment_past_2_62_reads_no_ray(tmp_path, capsys):
+    # k = 2^61 puts the moment at 2^62 - 1 + 2^61, where the keys 2(M - t)
+    # pass 2^63; the one-stage half keeps both of its times
+    f = write_instance(tmp_path, {"set": [1], "target": 2**62 - 1})
+    code, report, _ = run(capsys, ["solve", f, "--k", str(2**61)])
+    assert code == 1
+    assert report["simulator"]["checked_moment"] == 6917529027641081855
+    assert report["simulator"]["ray_count_at_moment"] == 0
+    assert report["stats"] == {"half_entries": [1, 2]}
+
+
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("injected")

@@ -153,12 +153,14 @@ def test_half_times_match_the_int64_enumerator_on_both_sides_of_2_31(epsilon, ho
     low = sum(max(arc) for arc in half_arcs(100)[1])
     layout, arcs = half_arcs(horizon - low + 100)
     assert sum(max(arc) for arc in arcs) == horizon
-    times, counts = np.unique(sim._path_times(np.array([arcs], dtype=np.int64))[0],
-                              return_counts=True)
-    half = getattr(ls.propagate_halves(layout), side)
-    assert half.times.dtype == np.int64
-    assert half.items() == list(zip(times.tolist(), counts.tolist()))
+    # the half keeps one entry per path, in subset order
     base = sum(skip for skip, _ in arcs)
+    steps = [take - skip for skip, take in arcs]
+    times = sim._path_times(np.array([base]), np.array([steps]), np.empty((1, 32), np.int64))
+    half = getattr(ls.propagate_halves(layout), side)
+    assert half.counts is None
+    assert half.times.dtype == (np.int32 if horizon < 2**31 else np.int64)
+    assert half.times.tolist() == times[0].tolist()
     expected = {base + s: c for s, c in subset_sums([take - skip for skip, take in arcs]).items()}
     assert dict(half.items()) == expected
 
@@ -186,6 +188,33 @@ def test_count_at_matches_subset_sums_on_both_sides_of_2_31(gap, order):
     assert hits == 4
 
 
+@pytest.mark.parametrize("longest", [2**30 - 1, 2**30], ids=["below", "at"])
+@pytest.mark.parametrize("order", ["long-left", "long-right"])
+def test_count_at_reads_the_tagged_halves_on_both_sides_of_2_30(longest, order):
+    # count_at tags the keys as 2(M - l) and the right times as 2r + 1, in
+    # int32 while 2 max(M, l, r) + 1 is below 2^31: a half whose latest time
+    # is 2^30 - 1 or 2^30, read at moments from 0, where every key of the
+    # long half is negative, and across 2^29, 2^30 and 2^31
+    long = [2**29, longest - 2 - 2**29]
+    values = long + [1, 2] if order == "long-left" else [1, 2] + long
+    inst = ls.Instance.from_values(values, 0)
+    halves = ls.propagate_halves(ls.compile_layout(inst, P))
+    assert max(halves.left.times.max(), halves.right.times.max()) == longest
+    sums = subset_sums(values)
+    hits = 0
+    for moment in [*range(0, 12), *range(2**29 - 4, 2**29 + 8), *range(2**30 - 8, 2**30 + 8),
+                   *range(2**31 - 4, 2**31 + 4)]:
+        count = halves.count_at(moment)
+        assert count == sums.get(moment - 4, 0), (values, moment)
+        hits += moment >= 2**30 - 8 and count
+    assert hits == 4
+    assert halves.half_entries == [4, 4]
+    # no ray arrives before 0, however far before
+    for moment in (-1, -2**31 + 2**30, -2**31, -2**62, -2**63):
+        assert halves.count_at(moment) == 0
+    assert halves.half_entries == [4, 4]
+
+
 def test_sparse_path_handles_values_too_long_to_pack():
     # 2^61 - 2 twice is a longest path of 2^62 - 2, just inside the delay
     # bound; 5e18 twice is past it and is rejected before anything propagates
@@ -208,12 +237,25 @@ def test_halves_detect_exactly_just_inside_the_delay_bound():
         assert ls.solve_auto(inst).verdict is verdict
 
 
+def halves_of(layout, per_slot, monkeypatch):
+    """The layout's halves, each built with its own DENSE_PATHS_PER_SLOT."""
+    if per_slot[0] == per_slot[1]:
+        monkeypatch.setattr(sim, "DENSE_PATHS_PER_SLOT", per_slot[0])
+        return ls.propagate_halves(layout)
+    arcs = sim._arcs(layout)
+    chains = []
+    for part, value in zip((arcs[: len(arcs) // 2], arcs[len(arcs) // 2 :]), per_slot):
+        monkeypatch.setattr(sim, "DENSE_PATHS_PER_SLOT", value)
+        chains.append(sim._propagate_chain(part))
+    return sim.SplitProfile(*chains)
+
+
 @pytest.mark.parametrize("epsilon", [False, True], ids=["offset", "epsilon"])
-@pytest.mark.parametrize("paths_per_slot", [0, 2**64], ids=["dense", "enumerated"])
-def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, paths_per_slot,
-                                                              monkeypatch):
-    # n = 0..9 cuts the chain into halves of equal and of unequal length
-    monkeypatch.setattr(sim, "DENSE_PATHS_PER_SLOT", paths_per_slot)
+@pytest.mark.parametrize("per_slot", [(0, 0), (2**64, 2**64), (0, 2**64), (2**64, 0)],
+                         ids=["dense", "enumerated", "mixed", "mixed-enumerated-left"])
+def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, per_slot, monkeypatch):
+    # n = 0..9 cuts the chain into halves of equal and of unequal length; a
+    # dense half has distinct times, an enumerated one repeats them
     rng = random.Random(5)
     for n in range(10):
         for _ in range(3):
@@ -222,25 +264,37 @@ def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, paths_per
                 layout = ls.compile_epsilon_layout(inst, rng.randint(1, 3))
             else:
                 layout = ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=rng.randint(1, 3)))
-            split, whole = ls.propagate_halves(layout), dict(ls.propagate(layout).items())
+            split = halves_of(layout, per_slot, monkeypatch)
+            whole = dict(ls.propagate(layout).items())
             assert (split.left.stage_index, split.right.stage_index) == (n // 2, n - n // 2)
+            kinds = [half.counts is None for half in (split.left, split.right)]
+            assert kinds == [value > 0 for value in per_slot]
             horizon = sum(s.take_delay for s in layout.stages)
             for t in range(horizon + 2):
                 assert split.count_at(t) == whole.get(t, 0), (layout, t)
+            assert split.half_entries == [len(set(split.left.times.tolist())),
+                                          len(set(split.right.times.tolist()))]
             # the window reader of the perturbation trials, on a batch of two
-            # copies of each half's path times
+            # copies of the chain, each half read whole or through the index
+            # of every one of its paths, in int32 or int64
             arcs = np.array([sim._arcs(layout)] * 2, dtype=np.int64).reshape(2, n, 2)
-            left, right = sim._path_times(arcs[:, : n // 2]), sim._path_times(arcs[:, n // 2 :])
+            stages = (n // 2, n - n // 2)
+            keep = tuple(rng.choice([None, np.arange(1 << s)]) for s in stages)
+            dtype = rng.choice([np.int32, np.int64])
+            whole_paths = tuple(None if k is None else np.empty((2, 1 << s), dtype)
+                                for s, k in zip(stages, keep))
+            tagged = np.empty((2, sum(1 << s for s in stages)), dtype)
             for lo in range(-2, horizon + 2, 3):
                 hi = lo + rng.randint(0, 2)
                 expected = any(t in whole for t in range(lo, hi + 1))
-                hits = sim._pair_within(left, right, lo, hi).tolist()
-                assert hits == [expected, expected], (layout, lo, hi)
+                hits = sim._pairs_within(arcs, n // 2, lo, hi, keep, tagged, whole_paths)
+                assert hits.tolist() == [expected, expected], (layout, lo, hi)
 
 
 @pytest.mark.parametrize("chains", [1, 3])
 def test_path_times_follow_subset_order(chains):
-    # one chain steps by Python ints, a batch by columns; path p takes stage
+    # one chain steps by Python ints, a batch by columns from its base and
+    # steps, here into a column slice of a wider buffer; path p takes stage
     # s's take arc when bit s of p is set
     rng = random.Random(chains)
     for stages in range(7):
@@ -248,7 +302,14 @@ def test_path_times_follow_subset_order(chains):
                          for _ in range(chains)], dtype=np.int64).reshape(chains, stages, 2)
         expected = [[sum(int(chain[s][(p >> s) & 1]) for s in range(stages))
                      for p in range(1 << stages)] for chain in arcs]
-        assert sim._path_times(arcs).tolist() == expected
+        if chains == 1:
+            times = sim._chain_times(arcs[0].tolist(), np.empty(1 << stages, np.int64))[None]
+        else:
+            wide = np.zeros((chains, 3 + (1 << stages)), np.int64)
+            times = sim._path_times(arcs[:, :, 0].sum(axis=1), arcs[:, :, 1] - arcs[:, :, 0],
+                                    wide[:, 2 : 2 + (1 << stages)])
+            assert not wide[:, :2].any() and not wide[:, -1].any()
+        assert times.tolist() == expected
 
 
 def test_split_count_multiplies_in_the_width_of_the_whole_device():
@@ -473,18 +534,35 @@ def test_perturbation_rejects_lengths_that_can_go_non_positive():
 
 
 def test_perturbation_path_cap_is_read_when_called(monkeypatch):
-    # one trial of 5 stages has a half of 2^3 arrivals, one more than the
-    # cap leaves beside the fixed charge per trial
+    # one trial of 5 stages, which the path on the target decides, draws 10
+    # errors, more than the 4 the cap leaves beside the fixed charge per trial
     monkeypatch.setattr(sim, "MAX_PERTURB_ARRIVALS", sim.PERTURB_TRIAL_ARRIVALS + 4)
     with pytest.raises(ls.ResourceLimit):
         perturb_values([1, 1, 1, 1, 1], 4, 0, 1, seed=0)
 
 
 def test_perturbation_cap_charges_each_trial_a_fixed_cost():
-    # a million trials of one stage hold 2 arrivals each, but each trial
-    # costs tens of microseconds whatever its size
+    # a million trials of one stage draw 2 errors each, but each trial
+    # carries a fixed cost whatever its size
     with pytest.raises(ls.ResourceLimit):
         perturb_values([1], 1, 0, 10**6, seed=0)
+
+
+@pytest.mark.parametrize("error,charge", [
+    # cut within 0.1 quantum, 3 cables always read the pair on 5: 6 draws
+    ("0.1", 6),
+    # cut within 0.4 quantum, the trials enumerate halves of 2^2 paths at most
+    ("0.4", 4),
+], ids=["decided", "enumerating"])
+def test_perturbation_cap_charges_what_a_trial_costs(error, charge, monkeypatch):
+    # 10 trials fill a cap of exactly their charge, and pass one below it
+    cap = 10 * (charge + sim.PERTURB_TRIAL_ARRIVALS)
+    cut = Fraction(error) * P.quantum_length_m
+    monkeypatch.setattr(sim, "MAX_PERTURB_ARRIVALS", cap)
+    assert perturb_values([1, 2, 3], 5, cut, 10, seed=0).trials == 10
+    monkeypatch.setattr(sim, "MAX_PERTURB_ARRIVALS", cap - 1)
+    with pytest.raises(ls.ResourceLimit, match="10 trials"):
+        perturb_values([1, 2, 3], 5, cut, 10, seed=0)
 
 
 def test_prepass_enumerates_no_path_of_dense_halves_that_decide_every_trial(monkeypatch):
@@ -620,6 +698,40 @@ def test_perturbation_past_the_int32_bound_matches_the_reference(values, target,
     # false positives where the reference has none
     expected = perturbation_outcome(values, target, 1, span, sim.PERTURB_GRID, 20, seed=1)
     assert perturb_outcome(values, target, span, 20, 1) == expected
+
+
+@pytest.mark.parametrize("values,target,whole_side", [
+    # 4 unit stages on the left, whose 11 paths of 2 units or more lie within
+    # 2 quanta of the one right path, {1600}, that can pair: the left half
+    # is read whole, and some trials miss the sum 1604
+    ([1, 1, 1, 1, 100, 200, 400, 800, 1600], 1604, 0),
+    # the split the other way: the left half keeps its path {800}, and the
+    # right half of 5 unit stages reads its 16 paths of 3 units or more whole
+    ([100, 200, 400, 800, 1, 1, 1, 1, 1], 805, 1),
+])
+def test_trials_read_a_proper_subset_on_one_side_at_odd_n(values, target, whole_side,
+                                                           monkeypatch):
+    # n = 9: the right half has one stage more; cut within a quarter
+    # quantum, 9 cables drift up to 2.25 quanta
+    kept = []
+    candidates = sim._candidates
+
+    def recorded(half, *args):
+        kept.append(candidates(half, *args))
+        return kept[-1]
+
+    monkeypatch.setattr(sim, "_candidates", recorded)
+    span = sim.PERTURB_GRID // 4
+    expected = perturbation_outcome(values, target, 1, span, sim.PERTURB_GRID, 40, seed=3)
+    assert expected[0] > 0
+    for per_chunk in (None, 1, 3):
+        with monkeypatch.context() as m:
+            if per_chunk:
+                m.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk_of(per_chunk, len(values)))
+            assert perturb_outcome(values, target, span, 40, 3) == expected
+    whole, subset = kept[whole_side], kept[1 - whole_side]
+    assert whole is None
+    assert 0 < len(subset) < 1 << (4 + 1 - whole_side)
 
 
 def test_every_trial_detects_a_path_on_the_target_while_n_errors_fit_the_window():
