@@ -113,20 +113,20 @@ PERTURB_GRID = 10**6
 # that enumerates is charged its 2^ceil(n/2) arrivals per half, one that the
 # exact halves decide its 2n drawn errors, and each a fixed
 # PERTURB_TRIAL_ARRIVALS on top. Measured on a 2-vCPU VM: a decided trial
-# costs about 0.08 us at n = 1 and 19-25 us at n = 32-40, where a chunk holds
-# one trial, so about 1.2e6 of them fill half a minute; the fixed charge of
-# 2^11 holds a run of them at the cap to about 13 s, and lets 300 000 decided
-# trials at n = 3 run (0.1 s). An enumerating trial costs 0.3-0.8 us at
-# n = 1-4 and 80-100 us at n = 24 when every half-path is a candidate, so a
-# run at the cap takes 0.2-0.4 s and 14-17 s there; from n = 24 on its
-# arrivals set the charge, and a run at the cap takes 19-29 s at n = 28-36
-# and 33-41 s at n = 40 (1022 trials).
+# costs about 0.07 us at n = 1 and 2.7-3 us at n = 32-40, so the fixed charge
+# of 2^11 holds a run of them at the cap (about 5e5 trials) to about 1.5 s,
+# and lets 300 000 decided trials at n = 3 run (0.1 s). An enumerating trial
+# costs 0.3-0.8 us at n = 1-4 and 80-100 us at n = 24 when every half-path is
+# a candidate, so a run at the cap takes 0.2-0.4 s and 14-17 s there; from
+# n = 24 on its arrivals set the charge, and a run at the cap takes 19-29 s
+# at n = 28-36 and 33-41 s at n = 40 (1022 trials).
 MAX_PERTURB_ARRIVALS = 1 << 30
 PERTURB_TRIAL_ARRIVALS = 1 << 11
 
 # Perturbation trials run a chunk at a time, as many trials as keep each half
 # at about this many arrivals (one trial when a half alone holds more), so one
-# set of numpy calls enumerates the whole chunk.
+# set of numpy calls enumerates the whole chunk; trials that the exact halves
+# decide enumerate nothing, and a chunk of them draws a quarter as many errors.
 PERTURB_CHUNK_ARRIVALS = 1 << 16
 
 
@@ -194,36 +194,28 @@ def _runs(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return times[starts[:-1]].astype(np.int64), counts
 
 
-def _chain_times(arcs: Sequence[tuple[int, int]], out: np.ndarray) -> np.ndarray:
-    """Every path time through one chain, in subset order, written into `out`.
+def _path_times(base: int | np.ndarray, steps: Sequence[int] | np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Every path value of one chain, or of each of a batch of chains, in subset order.
 
-    Path p takes stage s's take arc when bit s of p is set and its skip arc
-    otherwise; equal times are kept. `out` has 2^stages entries and a dtype
-    that holds the chain's longest path. Path 0 skips every stage, and
-    setting bit s adds take - skip of stage s, so every entry ever written
-    is a path time; the chain is stepped by Python ints, which cost less per
-    stage than array operands.
+    For one chain `out` is a row of 2^stages entries, `base` an int and
+    `steps` a sequence of ints, one a stage; for a batch, `out` has shape
+    (chains, 2^stages), `base` one value a chain and `steps` shape (chains,
+    stages). Entry p of a row is its base plus its step s for every bit s set
+    in p. With the sum of the skip arcs for base and take - skip for the
+    steps, these are the path times: path p takes stage s's take arc when
+    bit s of p is set and its skip arc otherwise, and equal times are kept.
+    An affine map of every path time, such as a tag, is folded into the base
+    and the steps. `out` may be a column slice of a wider buffer, and its
+    dtype must hold every path value, since every entry ever written is one.
+    A row is stepped by Python ints, which cost less per stage than array
+    operands, and a batch a column at a time in the dtype of `out`.
     """
-    out[0] = sum(skip for skip, _ in arcs)
-    for stage, (skip, take) in enumerate(arcs):
-        np.add(out[: 1 << stage], take - skip, out=out[1 << stage : 2 << stage])
-    return out
-
-
-def _path_times(base: np.ndarray, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Every path value of each of a batch of chains, in subset order, written into `out`.
-
-    Entry (i, p) of `out`, of shape (chains, 2^stages), is base[i] plus
-    steps[i, s] for every bit s set in p. With the sum of the skip arcs for
-    base and take - skip for the steps, these are the path times, as
-    `_chain_times` writes them; an affine map of every path time, such as a
-    tag, is folded into the base and the steps. `out` may be a column slice
-    of a wider buffer, and its dtype must hold every path value: the rows
-    are stepped a column at a time in that dtype.
-    """
-    out[:, 0] = base
-    for stage, step in enumerate(steps.astype(out.dtype, copy=False).T[:, :, None]):
-        np.add(out[:, : 1 << stage], step, out=out[:, 1 << stage : 2 << stage])
+    out[..., 0] = base
+    if out.ndim == 2:
+        steps = steps.astype(out.dtype, copy=False).T[:, :, None]
+    for stage, step in enumerate(steps):
+        np.add(out[..., : 1 << stage], step, out=out[..., 1 << stage : 2 << stage])
     return out
 
 
@@ -260,7 +252,8 @@ def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
     # Every path time lies in [0, horizon], so below 2^31 they are int32,
     # which numpy sorts about 1.5 times as fast as int64 (8192 path times of
     # 13 values to 5e4, 2-vCPU VM).
-    times = _chain_times(arcs, np.empty(1 << stages, dtype=_time_dtype(horizon)))
+    times = _path_times(sum(skip for skip, _ in arcs), [take - skip for skip, take in arcs],
+                        np.empty(1 << stages, dtype=_time_dtype(horizon)))
     return ArrivalProfile(stage_index=stages, times=times, counts=None)
 
 
@@ -386,7 +379,8 @@ def _candidates(times: np.ndarray, counts: np.ndarray, near: np.ndarray,
     """
     if 2 * int(counts[near].sum()) >= 1 << len(arcs):
         return None
-    paths = _chain_times(arcs, np.empty(1 << len(arcs), dtype=np.int64))
+    paths = _path_times(sum(skip for skip, _ in arcs), [take - skip for skip, take in arcs],
+                        np.empty(1 << len(arcs), dtype=np.int64))
     near_times = times[near]
     i = np.minimum(np.searchsorted(near_times, paths), len(near_times) - 1)
     return np.flatnonzero(near_times[i] == paths)
@@ -632,11 +626,12 @@ def perturb_and_classify(
     n * error; an enumerated half is sorted and counted once for this. The
     ray counts of the candidate times tell whether a half keeps a proper
     subset of its paths; only then are its exact paths enumerated to mark
-    which. Trials run
-    PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time (at least one). A chunk
-    draws and checks its errors; unless some pair always detects or none
-    can, it enumerates the tagged path times of its perturbed halves into one
-    buffer and reads the window from the candidates alone.
+    which. Trials run PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time, or
+    PERTURB_CHUNK_ARRIVALS // 8n when the exact halves decide them (at least
+    one). A chunk draws and checks its errors; unless some pair always
+    detects or none can, it enumerates the tagged path times of its
+    perturbed halves into one buffer and reads the window from the
+    candidates alone.
 
     A half past the path cap that detection checks raises ResourceLimit
     before the first trial, as does a longest perturbed path or a window top
@@ -717,7 +712,12 @@ def perturb_and_classify(
     oracle_yes = solve_auto(instance).verdict is Verdict.YES
 
     exact_g = np.array(exact, dtype=np.int64).reshape(n, 2) * PERTURB_GRID
-    chunk = min(trials, max(1, PERTURB_CHUNK_ARRIVALS >> half))
+    # A chunk holds about PERTURB_CHUNK_ARRIVALS arrivals a half or, when the
+    # exact halves decide its trials, a quarter as many drawn errors (none at
+    # n = 0): each draw passes through several int64 arrays of the chunk, and
+    # such chunks ran fastest at about 2^14 draws (2-vCPU VM).
+    per_chunk = PERTURB_CHUNK_ARRIVALS if candidates is not None else PERTURB_CHUNK_ARRIVALS // 4
+    chunk = min(trials, max(1, per_chunk // max(charge, 1)))
     if candidates is not None:
         # The buffers serve every chunk: fresh ones each chunk fault in new
         # pages on every call. Every value _pairs_within forms lies within

@@ -102,7 +102,7 @@ GOLDEN_REPORTS = [
         "agreement": True,
         "feasibility": GOLDEN_FEASIBILITY,
         "instance_echo": GOLDEN_ECHO,
-        "oracle": {"solver_name": "bruteforce", "verdict": "YES", "witness": None},
+        "oracle": {"solver_name": "dp", "verdict": "YES"},
         "simulator": {
             "amplified_power_w": "337500",
             "checked_moment": 253,

@@ -21,23 +21,16 @@ small_instance = st.builds(
 )
 
 
-def test_dp_finds_witness():
-    result = ls.solve_dp(ls.Instance.from_values([1, 2, 3], 5), want_witness=True)
-    assert result.verdict is ls.Verdict.YES
-    assert result.witness is not None
-    assert sum([1, 2, 3][i] for i in result.witness) == 5
+def test_dp_yes_case():
+    assert ls.solve_dp(ls.Instance.from_values([1, 2, 3], 5)).verdict is ls.Verdict.YES
 
 
 def test_dp_no_case():
-    result = ls.solve_dp(ls.Instance.from_values([2, 4], 3))
-    assert result.verdict is ls.Verdict.NO
-    assert result.witness is None
+    assert ls.solve_dp(ls.Instance.from_values([2, 4], 3)).verdict is ls.Verdict.NO
 
 
-def test_dp_empty_set_zero_target_is_yes_with_empty_witness():
-    result = ls.solve_dp(ls.Instance.from_values([], 0), want_witness=True)
-    assert result.verdict is ls.Verdict.YES
-    assert result.witness == ()
+def test_dp_empty_set_zero_target_is_yes():
+    assert ls.solve_dp(ls.Instance.from_values([], 0)).verdict is ls.Verdict.YES
 
 
 def test_dp_target_budget(monkeypatch):
@@ -85,9 +78,7 @@ def test_int64_enumeration_is_exact_up_to_the_delay_bound():
 def test_dp_skips_values_above_the_target():
     # shifting the table by 10^18 would build an integer of 10^18 bits
     inst = ls.Instance.from_values([10**18, 2, 3], 5)
-    result = ls.solve_dp(inst, want_witness=True)
-    assert result.verdict is ls.Verdict.YES
-    assert result.witness == (1, 2)
+    assert ls.solve_dp(inst).verdict is ls.Verdict.YES
     assert ls.solve_dp(ls.Instance.from_values([10**18] * 4, 1)).verdict is ls.Verdict.NO
 
 
@@ -111,7 +102,6 @@ def test_dp_verdict_agrees_with_brute_force_on_a_grid():
                 inst = ls.Instance.from_values(values, target)
                 expected = ls.solve_bruteforce(inst).verdict
                 assert ls.solve_dp(inst).verdict is expected, inst
-                assert ls.solve_dp(inst, want_witness=True).verdict is expected, inst
 
 
 def test_mitm_basic_cases():
@@ -156,18 +146,6 @@ def test_three_way_agreement_and_reference(inst):
     assert ls.solve_auto(inst).verdict is expected
 
 
-@given(inst=small_instance)
-@settings(max_examples=100)
-def test_dp_witness_always_sums_to_target(inst):
-    result = ls.solve_dp(inst, want_witness=True)
-    if result.verdict is ls.Verdict.YES:
-        assert result.witness is not None
-        assert sum(inst.values[i] for i in result.witness) == inst.target
-        assert len(set(result.witness)) == len(result.witness)
-    else:
-        assert result.witness is None
-
-
 @given(inst=small_instance, extra=st.integers(1, 60))
 @settings(max_examples=80)
 def test_yes_is_monotone_under_adding_elements(inst, extra):
@@ -183,15 +161,37 @@ def test_bruteforce_multiset_matches_naive_enumeration(inst):
 
 
 def test_auto_picks_a_working_solver_across_regimes():
-    # tiny n with large B: brute force beats the DP's n*B work
+    # tiny n with large B: meet-in-the-middle's 2^(n/2) beats the DP's B/64
     tiny = ls.solve_auto(ls.Instance.from_values([10**12, 7], 10**12 + 7))
     assert tiny.verdict is ls.Verdict.YES
-    assert tiny.solver_name == "bruteforce"
+    assert tiny.solver_name == "mitm"
     # small B: the DP is the cheap route
     dp = ls.solve_auto(ls.Instance.from_values([3] * 20, 9))
     assert dp.verdict is ls.Verdict.YES
     assert dp.solver_name == "dp"
-    # n too large for brute force, B too large for the DP
+    # B too large for the DP's table
     wide = ls.solve_auto(ls.Instance.from_values([10**12] * 26, 26 * 10**12))
     assert wide.verdict is ls.Verdict.YES
     assert wide.solver_name == "mitm"
+
+
+@pytest.mark.parametrize("n", [10, 20, 26, 40])
+def test_auto_pick_changes_at_the_fitted_bound(n):
+    # the DP runs while B < 2^max(16, n // 2 + 6): 2^16 at n = 10 and 20,
+    # 2^19 at n = 26, 2^26 at n = 40
+    bound = 1 << max(16, n // 2 + 6)
+    for target, solver in ((bound - 1, "dp"), (bound, "mitm")):
+        inst = ls.Instance.from_values([1] * (n - 1) + [target - n + 1], target)
+        result = ls.solve_auto(inst)
+        assert (result.solver_name, result.verdict) == (solver, ls.Verdict.YES), target
+
+
+def test_auto_picks_mitm_on_twenty_five_values_to_a_million():
+    # brute force takes 0.4-0.8 s and 0.5 GB on this instance (2 vCPUs),
+    # meet-in-the-middle under a millisecond
+    rng = random.Random(3)
+    values = [rng.randint(1, 10**6) for _ in range(25)]
+    inst = ls.Instance.from_values(values, sum(values) // 2)
+    result = ls.solve_auto(inst)
+    assert result.solver_name == "mitm"
+    assert result.verdict is ls.solve_dp(inst).verdict

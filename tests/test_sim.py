@@ -303,7 +303,9 @@ def test_path_times_follow_subset_order(chains):
         expected = [[sum(int(chain[s][(p >> s) & 1]) for s in range(stages))
                      for p in range(1 << stages)] for chain in arcs]
         if chains == 1:
-            times = sim._chain_times(arcs[0].tolist(), np.empty(1 << stages, np.int64))[None]
+            skips, takes = arcs[0].T.tolist()
+            steps = [take - skip for skip, take in zip(skips, takes)]
+            times = sim._path_times(sum(skips), steps, np.empty(1 << stages, np.int64))[None]
         else:
             wide = np.zeros((chains, 3 + (1 << stages)), np.int64)
             times = sim._path_times(arcs[:, :, 0].sum(axis=1), arcs[:, :, 1] - arcs[:, :, 0],
@@ -333,12 +335,11 @@ def test_path_cap_counts_paths_before_enumerating(monkeypatch):
     # 4 equal long stages: 16 paths but only 5 distinct times, so the cap of
     # 8 is passed by the paths alone; detection and trials refuse the same
     # half with the same message
-    def never(arcs, *out):
+    def never(*args):
         raise AssertionError("enumerated a chain past the cap")
 
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
     monkeypatch.setattr(sim, "_path_times", never)
-    monkeypatch.setattr(sim, "_chain_times", never)
     with pytest.raises(ls.ResourceLimit, match=r"2\^4") as whole:
         ls.propagate(ls.compile_layout(ls.Instance.from_values([10**9] * 4, 0), P))
     inst = ls.Instance.from_values([10**9] * 8, 0)
@@ -841,22 +842,31 @@ def test_perturbed_half_cap_counts_arrivals_before_the_first_trial(monkeypatch):
     assert perturb_values([1] * 6, 3, 0, 1, seed=0).misclassified == 0
 
 
-def chunk_of(trials_per_chunk, n):
-    """The PERTURB_CHUNK_ARRIVALS that runs n-stage trials this many at a time."""
-    return trials_per_chunk << (n + 1) // 2
+def chunk_of(trials_per_chunk, n, decided=False):
+    """The PERTURB_CHUNK_ARRIVALS that runs n-stage trials this many at a time.
+
+    Trials that enumerate are sized by their 2^ceil(n/2) arrivals a half,
+    trials that the exact halves decide by their 2n drawn errors, a quarter
+    of the chunk's budget.
+    """
+    return trials_per_chunk * (8 * n if decided else 1 << (n + 1) // 2)
 
 
 @pytest.mark.parametrize("values,target,expected", PINNED_PERTURBATIONS)
 def test_perturbation_reports_do_not_depend_on_the_chunk_size(values, target, expected,
                                                                 monkeypatch):
-    # one trial per chunk, and 3 per chunk, which splits 40 trials 13 * 3 + 1
+    # one trial per chunk, and 3 per chunk, which splits 40 trials 13 * 3 + 1,
+    # sized for trials that enumerate and for trials that the exact halves
+    # decide (those cut within 0.1 quantum)
     for quanta, seed in expected:
         error = Fraction(quanta) * P.quantum_length_m
         default = perturb_values(values, target, error, 40, seed)
         for per_chunk in (1, 3):
-            with monkeypatch.context() as m:
-                m.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk_of(per_chunk, len(values)))
-                assert perturb_values(values, target, error, 40, seed) == default
+            for decided in (False, True):
+                with monkeypatch.context() as m:
+                    chunk = chunk_of(per_chunk, len(values), decided)
+                    m.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk)
+                    assert perturb_values(values, target, error, 40, seed) == default
 
 
 def test_non_positive_cable_is_rejected_whatever_the_chunk_size(monkeypatch):
