@@ -310,15 +310,9 @@ def cable_lengths(layout: DeviceLayout, params: PhysicalParams) -> list[Fraction
 # Shared by every document without overrides: PhysicalParams is frozen.
 _DEFAULT_PARAMS = PhysicalParams()
 
-INSTANCE_PARAM_KEYS = (
-    "delay_quantum_s",
-    "offset_k_quanta",
-    "velocity_factor",
-    "source_power_w",
-    "splitter_transmission",
-    "detector_gain",
-    "detection_threshold_w",
-)
+# Every field of PhysicalParams but the light speed, which is the vacuum's:
+# a medium slows light through velocity_factor.
+INSTANCE_PARAM_KEYS = tuple(f.name for f in fields(PhysicalParams) if f.name != "light_speed_m_s")
 
 
 def parse_instance_document(doc: object) -> tuple[RawInstance, PhysicalParams]:

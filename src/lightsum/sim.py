@@ -7,23 +7,26 @@ the two, so after n stages the histogram at the destination is exactly the
 multiset of subset sums shifted by the accumulated skip delays. The offset
 device and the epsilon device differ only in those two delays.
 
-A chain of stages propagates on one of two representations. While it has
-DENSE_PATHS_PER_SLOT paths (2^stages) or more per slot and its horizon fits
-MAX_PROFILE_ENTRIES, it runs on one dense count array of horizon + 1 slots;
-each stage writes the two shifted copies, summed, into a second buffer.
+A chain is read as its base, the sum of its skip delays, and its steps,
+take - skip a stage: a path's time is the base plus the steps it takes, so
+an offset k on every skip arc moves the base alone. While a chain has
+DENSE_PATHS_PER_SLOT paths (2^stages) or more per slot, one a moment from
+its least path time to its latest, and its sum |step| + 1 slots fit
+MAX_PROFILE_ENTRIES, it runs on one dense count array and a scratch row: a
+stage copies the occupied slots aside and adds them back |step| higher.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
-(object dtype), capped by MAX_DENSE_WORD_ADDITIONS, take over above. Longer
-horizons, such as values of 10^9, enumerate the chain's path times, at most
+(object dtype), capped by MAX_DENSE_WORD_ADDITIONS, take over above. Wider
+chains, such as values of 10^9, enumerate their path times, at most
 MAX_PROFILE_ENTRIES of them, into one array in subset order, one entry per
 path: a half is kept so, and only the whole profile (`propagate`, for a
 dump) sorts it and counts each run of equal times in uint64.
 Every time fits int64: a layout's longest path is below
 model.MAX_DELAY_QUANTA = 2^62, and a perturbed device is checked against the
 same bound in grid units. Each array of times takes its width from a bound
-the code already has, and is int32 below 2^31: a chain's horizon for its
-enumeration; twice the moment and both halves' latest times, plus one, for
-detection's tagged sort; twice the larger of the longest perturbed path and
-the window top, plus one, for the trials. Otherwise it is int64, and
+the code already has, and is int32 below 2^31: a chain's longest path for
+its enumeration; twice the moment and both halves' latest times, plus one,
+for detection's tagged sort; twice the larger of the longest perturbed path
+and the window top, plus one, for the trials. Otherwise it is int64, and
 counted profiles keep int64 times.
 
 The detector reads one moment, so detection never builds the whole profile.
@@ -41,23 +44,11 @@ the one way the exact device is read: the solver, the epsilon demonstration
 and the perturbation pre-pass read them, and the whole profile
 (`propagate`) is built only to be dumped.
 
-Perturbation trials cut their chains at the same node. A cable cut with an
-error of at most e moves a path by at most n*e, so before the first trial the
-exact halves' times are read against each other: every trial detects when
-some pair lies within the window narrowed by n*e, none can when no pair lies
-within the window widened by n*e, and otherwise a half-path is a candidate
-when some partner brings the pair within the widened window. An enumerated
-half is sorted in place and counted for this, and a half enumerates its
-exact paths again, to mark its candidates, only when it keeps a proper
-subset of them. This pre-pass propagates as the detector
-does, so its cost, dense or enumerated, follows DENSE_PATHS_PER_SLOT. The
-trials count no rays and run on path-time arrays alone. A chunk of trials
-draws its cable errors in one batch, as `random.Random.randint` draws them
-one by one. Unless the exact halves decide every trial, it enumerates the
-tagged path times of both perturbed halves for the whole chunk into one
-buffer kept across chunks, with the tags folded into each half's base and
-steps and the candidates kept, and reads every trial's window with one row
-sort.
+Perturbation trials cut their chains at the same node, and the exact halves,
+propagated as the detector propagates them, decide every trial or mark the
+candidate half-paths before the first (see `perturb_and_classify`). The
+trials count no rays: each chunk draws its cable errors in one batch and
+reads its windows from the tagged path times of its perturbed halves.
 """
 
 from __future__ import annotations
@@ -87,17 +78,18 @@ from .rational import RationalLike, to_fraction
 # enumerated chain, or a perturbed half, this many path times.
 MAX_PROFILE_ENTRIES = 1 << 22
 
-# A dense stage costs a slot of work per horizon slot, an enumerated chain a
-# few steps per path. On a 2-vCPU VM the enumerator was faster from 0.5-0.7
-# slots per path at 12-21 stages (from 1-2 below 10 stages, where both take
-# well under 0.1 ms), so a chain runs dense while it has this many paths a slot.
+# A dense stage costs a copy and an add over its occupied slots, an
+# enumerated chain a few steps per path. On a 2-vCPU VM the enumerator was
+# faster from 0.5-0.7 slots per path at 12-21 stages (from 1-2 below 10
+# stages, where both take well under 0.1 ms), so a chain runs dense while it
+# has this many paths a slot.
 DENSE_PATHS_PER_SLOT = 2
 
-# A dense chain of s stages over h slots adds s * (h + 1) counts of ceil(s/64)
-# words each. Past 63 stages they are Python ints, added at 1.3-1.8e9 words a
-# second on a 2-vCPU VM (2200 stages over 4401 slots in 0.26 s, 4400 over 8801
-# in 1.5 s, 6000 over 12 001 in 3.7 s): a chain at the cap takes about 6 s, a
-# `solve` of two such halves 12 s, and 20 000 unit values, halves of 3.1e10
+# A dense chain of s stages over h slots adds s * h counts of ceil(s/64) words
+# each. Past 63 stages they are Python ints, added at 0.9-1.2e9 words a second
+# on a 2-vCPU VM (2200, 4400 and 6000 unit stages, each over one slot more, in
+# 0.18, 1.1 and 2.7 s): a chain at the cap, 8191 unit stages, takes about 8 s,
+# a `solve` of two such halves 16 s, and 20 000 unit values, halves of 1.6e10
 # word additions, exit 4 before propagating.
 MAX_DENSE_WORD_ADDITIONS = 1 << 33
 
@@ -162,23 +154,21 @@ def _count_dtype(n: int) -> type:
     return np.uint64 if n <= 63 else object
 
 
-def _propagate_dense(arcs: Sequence[tuple[int, int]], horizon: int) -> ArrivalProfile:
-    dtype = _count_dtype(len(arcs))
-    cur = np.zeros(horizon + 1, dtype=dtype)
-    nxt = np.zeros_like(cur)
-    cur[0] = 1
-    last = 0  # latest occupied slot of cur
-    for skip, take in arcs:
-        lo, hi = sorted((skip, take))
-        # nxt = cur shifted by lo, plus cur shifted by hi: a copy and one add
-        nxt[:lo] = 0
-        nxt[lo : lo + last + 1] = cur[: last + 1]
-        nxt[lo + last + 1 : hi + last + 1] = 0
-        nxt[hi : hi + last + 1] += cur[: last + 1]
-        cur, nxt = nxt, cur
-        last += hi
-    times = np.flatnonzero(cur)
-    return ArrivalProfile(stage_index=len(arcs), times=times, counts=cur[times])
+def _propagate_dense(base: int, steps: Sequence[int], slots: int) -> ArrivalProfile:
+    # Slot i counts the rays at the chain's least time plus i. At a stage of
+    # step s every ray also moves |s| slots up, along its longer arc: a copy
+    # of the occupied slots is added back |s| higher.
+    counts = np.zeros(slots, dtype=_count_dtype(len(steps)))
+    before = np.empty_like(counts)
+    counts[0] = 1
+    width = 1  # occupied slots
+    for step in map(abs, steps):
+        before[:width] = counts[:width]
+        counts[step : step + width] += before[:width]
+        width += step
+    times = np.flatnonzero(counts)
+    least = base + sum(step for step in steps if step < 0)
+    return ArrivalProfile(stage_index=len(steps), times=times + least, counts=counts[times])
 
 
 def _runs(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,13 +223,19 @@ def _check_paths(stages: int) -> None:
         )
 
 
+def _chain(arcs: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """A chain's base, the sum of its skip delays, and its steps, take - skip a stage."""
+    return sum(skip for skip, _ in arcs), [take - skip for skip, take in arcs]
+
+
 def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
-    # Dense while the horizon is short next to the 2^stages paths, else every
-    # path time is enumerated, one entry per path. Past 22 stages, too many
-    # paths to enumerate, every horizon that fits runs dense.
-    horizon = sum(max(arc) for arc in arcs)
-    stages = len(arcs)
-    slots = horizon + 1
+    # Dense while the slots, one a moment from the least path time to the
+    # latest, are few next to the 2^stages paths, else every path time is
+    # enumerated, one entry per path. Past 22 stages, too many paths to
+    # enumerate, every chain whose slots fit runs dense.
+    base, steps = _chain(arcs)
+    stages = len(steps)
+    slots = sum(map(abs, steps)) + 1
     if slots <= MAX_PROFILE_ENTRIES and DENSE_PATHS_PER_SLOT * slots <= 1 << stages:
         additions = stages * slots * -(-stages // 64)
         if additions > MAX_DENSE_WORD_ADDITIONS:
@@ -247,13 +243,12 @@ def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
                 f"a dense chain of {stages} stages over {slots} slots takes "
                 f"{additions} word additions, past the cap of {MAX_DENSE_WORD_ADDITIONS}"
             )
-        return _propagate_dense(arcs, horizon)
+        return _propagate_dense(base, steps, slots)
     _check_paths(stages)
-    # Every path time lies in [0, horizon], so below 2^31 they are int32,
-    # which numpy sorts about 1.5 times as fast as int64 (8192 path times of
-    # 13 values to 5e4, 2-vCPU VM).
-    times = _path_times(sum(skip for skip, _ in arcs), [take - skip for skip, take in arcs],
-                        np.empty(1 << stages, dtype=_time_dtype(horizon)))
+    # Path times lie in [0, base + the positive steps]: int32 below 2^31, which numpy
+    # sorts 1.5 times as fast as int64 (8192 times of 13 values to 5e4, 2-vCPU VM).
+    top = base + sum(step for step in steps if step > 0)
+    times = _path_times(base, steps, np.empty(1 << stages, dtype=_time_dtype(top)))
     return ArrivalProfile(stage_index=stages, times=times, counts=None)
 
 
@@ -379,8 +374,7 @@ def _candidates(times: np.ndarray, counts: np.ndarray, near: np.ndarray,
     """
     if 2 * int(counts[near].sum()) >= 1 << len(arcs):
         return None
-    paths = _path_times(sum(skip for skip, _ in arcs), [take - skip for skip, take in arcs],
-                        np.empty(1 << len(arcs), dtype=np.int64))
+    paths = _path_times(*_chain(arcs), np.empty(1 << len(arcs), dtype=np.int64))
     near_times = times[near]
     i = np.minimum(np.searchsorted(near_times, paths), len(near_times) - 1)
     return np.flatnonzero(near_times[i] == paths)
@@ -433,6 +427,10 @@ def _pairs_within(arcs: np.ndarray, cut: int, lo: int, hi: int,
     return key_then_time.any(axis=1)
 
 
+# The draws stay on the stdlib generator. numpy.random draws 1120 errors in
+# 10 us, where this takes 36 us (2-vCPU VM), but importing it raises resident
+# memory by about 5.6 MB, 29.7 to 35.3 MB after `import lightsum.cli` (numpy
+# 2.4.6): about a sixth of a small `perturb` run's peak.
 def _uniform_draws(rng: random.Random, span: int) -> Callable[[int], np.ndarray]:
     """A source of integers uniform on [-span, span], as `rng.randint` draws them.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -751,8 +752,8 @@ def test_solve_refuses_long_halves_by_their_path_count(tmp_path, capsys, monkeyp
 
 
 def test_solve_refuses_long_dense_chains_before_propagating(tmp_path, capsys, monkeypatch):
-    # each half of 20 000 unit values adds Python-int counts over 20 001
-    # slots at each of its 10 000 stages: 3.1e10 word additions, tens of seconds
+    # each half of 20 000 unit values adds Python-int counts over 10 001
+    # slots at each of its 10 000 stages: 1.6e10 word additions, about 15 s a half
     def propagated(*args):
         raise AssertionError("a dense chain past the cap was propagated")
 
@@ -761,6 +762,93 @@ def test_solve_refuses_long_dense_chains_before_propagating(tmp_path, capsys, mo
     code, report, err = run(capsys, ["solve", f])
     assert (code, report) == (4, None)
     assert "word additions" in err
+
+
+@pytest.mark.parametrize("n, top", [(60, 10), (48, 100)])
+def test_a_large_offset_k_solves_as_k_1_does(tmp_path, capsys, n, top):
+    # k moves every path by n*k and widens no half, so at k = 10^6 each half
+    # still runs dense over the slots it spans at k = 1
+    rng = random.Random(n)
+    values = [rng.randint(1, top) for _ in range(n)]
+    f = write_instance(tmp_path, {"set": values, "target": sum(values[::2])})
+    reports = []
+    for k in (1, 10**6):
+        code, report, err = run(capsys, ["solve", f, "--k", str(k)])
+        assert (code, err) == (0, "")
+        reports.append(report)
+    near, far = reports
+    assert far["simulator"]["checked_moment"] == near["simulator"]["checked_moment"] + n * (10**6 - 1)
+    assert far["simulator"]["ray_count_at_moment"] == near["simulator"]["ray_count_at_moment"]
+    assert far["stats"]["half_entries"] == near["stats"]["half_entries"]
+
+
+# Instance documents as JSON text. Numbers are written bare or quoted, as
+# integers, decimals or with exponents, some past the 2^62 bound or the
+# exponent ceiling, next to values the loader refuses; a document may carry
+# an unknown field or params overrides, a refused key among them.
+_mantissas = st.integers(0, 10**7).map(str) | st.builds(
+    "{}.{:03d}".format, st.integers(0, 999), st.integers(0, 999))
+_written = st.builds(lambda m, e: m if e is None else f"{m}e{e}",
+                     _mantissas, st.none() | st.integers(-25, 25) | st.just(2000))
+_json_values = (st.integers(1, 40).map(str) | st.integers(-3, 2**63).map(str) | _written
+                | _written.map(json.dumps)
+                | st.sampled_from(["true", "false", "null", "[]", "[2]", '"x"', '"NaN"', "-0.5"]))
+_params = st.dictionaries(
+    st.sampled_from([*model.INSTANCE_PARAM_KEYS, "light_speed_m_s", "colour"]), _json_values,
+    max_size=2)
+
+
+@st.composite
+def _documents(draw):
+    # Half the numbers are small integers, so that many documents load.
+    number = st.integers(1, 40).map(str) | _json_values
+    fields = [f'"set": [{", ".join(draw(st.lists(number, max_size=6)))}]',
+              f'"target": {draw(number)}']
+    if draw(st.integers(0, 4)) == 0:
+        fields.append('"extra": 1')
+    if draw(st.integers(0, 2)) == 0:
+        fields.append('"params": {%s}' % ", ".join(f"{json.dumps(k)}: {v}"
+                                                   for k, v in draw(_params).items()))
+    return "{%s}" % ", ".join(fields)
+
+
+def _flag(name, values):
+    """Either no flag, or `name` followed by one of `values`."""
+    return st.none().map(lambda _: []) | values.map(lambda v: [name, str(v)])
+
+
+_k = _flag("--k", st.integers(1, 5) | st.integers(-1, 2**62))
+_argvs = st.one_of(
+    st.tuples(st.just(["solve"]), _k,
+              _flag("--oracle", st.sampled_from(["auto", "dp", "mitm", "brute"]))),
+    st.tuples(st.just(["compile"]), _k),
+    st.tuples(st.just(["analyze"]), _k,
+              _flag("--max-cable-m", st.sampled_from(["3000", "0.5", "-1", "1e40"]))),
+    st.tuples(st.just(["demo-epsilon"]), _k,
+              _flag("--epsilon", st.integers(-1, 10**6))),
+    st.tuples(st.just(["perturb"]), _k,
+              st.sampled_from(["0", "0.00001", "0.00003", "0.0001", "1e-10", "-1", "x"]).map(
+                  lambda m: ["--max-error-m", m]),
+              _flag("--trials", st.integers(0, 30)), _flag("--seed", st.integers(-5, 2**40))),
+).map(lambda parts: [word for part in parts for word in part])
+
+
+@settings(max_examples=150, deadline=2000)
+@given(document=_documents(), argv=_argvs)
+def test_every_command_exits_with_a_report_or_an_input_or_resource_error(
+        tmp_path_factory, document, argv):
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    path.write_text(document, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 3, 4), (document, argv, err.getvalue())
+    if code <= 1:
+        assert isinstance(json.loads(out.getvalue()), dict)
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue()
 
 
 @pytest.fixture

@@ -112,13 +112,31 @@ def test_dense_and_enumerated_paths_match_subset_sums(values, delay, epsilon):
 
 def test_wide_count_fields_decode_exactly():
     # n identical unit values: counts are binomial coefficients; n = 63 and
-    # 64 sit on the two sides of the switch from uint64 counts to Python ints
-    for n, dtype in ((63, np.uint64), (64, object)):
-        inst = ls.Instance.from_values([1] * n, 0)
-        profile = ls.propagate(ls.compile_layout(inst, P))
+    # 64 sit on the two sides of the switch from uint64 counts to Python ints.
+    # The epsilon device of 64 unit values, skip arcs of 2 and take arcs of 1,
+    # steps down: j taken values arrive at 128 - j, C(64, j) = C(64, 64 - j)
+    # rays each.
+    units = ls.Instance.from_values([1] * 64, 0)
+    for layout, dtype in ((ls.compile_layout(ls.Instance.from_values([1] * 63, 0), P), np.uint64),
+                          (ls.compile_layout(units, P), object),
+                          (ls.compile_epsilon_layout(units, 2), object)):
+        n = len(layout.stages)
+        profile = ls.propagate(layout)
         assert profile.counts.dtype == dtype
         assert dict(profile.items()) == {n + j: math.comb(n, j) for j in range(n + 1)}
         assert sum(profile.counts.tolist()) == 2**n
+
+
+@pytest.mark.parametrize("dk", [1, 10**6, 2**58])
+def test_raising_k_moves_a_dense_profile_by_n_dk(dk):
+    # six unit values span 7 slots whatever k, so the chain runs dense and k
+    # moves every arrival by 6 dk
+    inst = ls.Instance.from_values([1] * 6, 0)
+    layouts = [ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=k)) for k in (1, 1 + dk)]
+    assert sim._propagate_chain(sim._arcs(layouts[1])).counts is not None
+    low, high = map(ls.propagate, layouts)
+    assert high.times.tolist() == [t + 6 * dk for t in low.times.tolist()]
+    assert high.counts.tolist() == low.counts.tolist() == [1, 6, 15, 20, 15, 6, 1]
 
 
 def test_enumerated_times_are_exact_on_both_sides_of_the_int32_sort():
