@@ -2,10 +2,11 @@
 
 Three independent routes: a pseudo-polynomial dynamic program over reachable
 sums (bit-packed, O(n*B/64) word shifts), exhaustive enumeration of all 2^n
-subset sums, and meet-in-the-middle, O(n*2^(n/2)) sort steps whatever the
-target. Every simulated verdict is checked against at least one of these.
-`solve_auto` picks the DP or meet-in-the-middle by their cost; brute force
-is picked only by name, and is the tests' reference.
+subset sums, and meet-in-the-middle, both halves' 2^(n/2) sums in one buffer
+and one sort, whatever the target. Every simulated verdict is checked
+against at least one of these. `solve_auto` picks the DP or
+meet-in-the-middle by their cost; brute force is picked only by name, and is
+the tests' reference. None of them shares code with the simulator.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ import numpy as np
 from .errors import ResourceLimit
 from .model import Instance, Verdict
 
-# Size caps; each solver reads its cap when it is called.
+# Size caps; each solver reads its cap when it is called. Meet-in-the-middle
+# stops at 2^22 sums a half, as many paths as the simulator enumerates in one
+# half (sim.MAX_PROFILE_ENTRIES): 44 unit values take 0.1 s and peak at about
+# 100 MB resident (2-vCPU VM).
 BRUTE_FORCE_MAX_N = 25
-MITM_MAX_N = 50
+MITM_MAX_N = 44
 DP_MAX_TABLE_BITS = 10**8
 
 
@@ -81,19 +85,38 @@ def solve_bruteforce(instance: Instance) -> OracleResult:
 
 
 def solve_mitm(instance: Instance) -> OracleResult:
-    """Meet-in-the-middle: O(2^(n/2)) time, independent of the target size."""
-    if instance.n > MITM_MAX_N:
+    """Meet-in-the-middle: O(2^(n/2)) time and memory, independent of the target size.
+
+    Both halves' subset sums go into one buffer, each left sum l as the key
+    2(B - l) and each right sum r as 2r + 1, and the buffer is sorted once.
+    Some l + r = B exactly when a key is directly followed by the value one
+    above it: keys are even and right sums odd, so such neighbours differ in
+    their lowest bit alone, and nothing sorts between a key 2(B - l) and the
+    right sum 2(B - l) + 1. B and the sum of the values are below
+    model.MAX_DELAY_QUANTA = 2^62, so every value written, partial sums
+    included, lies within 2 max(B, sum) + 1: int32 while that is below 2^31,
+    int64 otherwise. Capped at MITM_MAX_N values, 2^22 sums a half.
+    """
+    n = instance.n
+    if n > MITM_MAX_N:
         raise ResourceLimit(
-            f"meet-in-the-middle is capped at n <= {MITM_MAX_N}, got {instance.n}"
+            f"meet-in-the-middle is capped at n <= {MITM_MAX_N}, got {n}"
         )
-    half = instance.n // 2
-    left = _all_subset_sums(instance.values[:half])
-    right = np.sort(_all_subset_sums(instance.values[half:]))
-    # The target is below 2^62 too, so target - left is exact in int64. Sorted
-    # keys make one binary search each, resumed where the last one ended.
-    keys = np.sort(instance.target - left)
-    i = np.minimum(np.searchsorted(right, keys), len(right) - 1)
-    yes = bool((right[i] == keys).any())
+    b, values = instance.target, instance.values
+    half = n // 2
+    top = 2 * max(b, sum(values)) + 1
+    sums = np.empty((1 << half) + (1 << (n - half)), dtype=np.int32 if top < 2**31 else np.int64)
+    left, right = sums[: 1 << half], sums[1 << half :]
+    left[0], right[0] = 2 * b, 1
+    # Each value doubles its half's filled prefix: the copy takes the value,
+    # 2(B - l) - 2a on the left and 2r + 1 + 2a on the right.
+    for part, scale, taken in ((left, -2, values[:half]), (right, 2, values[half:])):
+        filled = 1
+        for a in taken:
+            np.add(part[:filled], scale * a, out=part[filled : 2 * filled])
+            filled *= 2
+    sums.sort()
+    yes = bool(((sums[1:] ^ sums[:-1]) == 1).any())
     return OracleResult(Verdict.from_bool(yes), "mitm")
 
 
@@ -101,14 +124,13 @@ def solve_auto(instance: Instance) -> OracleResult:
     """Pick the cheaper of the DP and meet-in-the-middle.
 
     The DP costs about n*B/64 word shifts and meet-in-the-middle about
-    n*2^(n/2) sort steps, so the DP runs while B < 2^(n//2 + 6), fitted on a
-    2-vCPU VM (BENCH_oracle_pick.json). Below B = 2^16 it runs at any n: it
+    n*2^(n/2) sort steps, so the DP runs while B < 2^(n//2 + 4), fitted on a
+    2-vCPU VM (BENCH_exact_reads.json). Below B = 2^16 it runs at any n: it
     takes some tens of microseconds there, no more than meet-in-the-middle's
-    fixed numpy cost. From n = 42 on the bound is past DP_MAX_TABLE_BITS, so
-    the DP runs whenever its table fits.
+    fixed numpy cost. Past MITM_MAX_N it runs whenever its table fits.
     """
     n, b = instance.n, instance.target
-    if b + 1 <= DP_MAX_TABLE_BITS and b < 1 << max(16, n // 2 + 6):
+    if b + 1 <= DP_MAX_TABLE_BITS and (n > MITM_MAX_N or b < 1 << max(16, n // 2 + 4)):
         return solve_dp(instance)
     if n <= MITM_MAX_N:
         return solve_mitm(instance)

@@ -16,10 +16,12 @@ MAX_PROFILE_ENTRIES, it runs on one dense count array and a scratch row: a
 stage copies the occupied slots aside and adds them back |step| higher.
 Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
 (object dtype), capped by MAX_DENSE_WORD_ADDITIONS, take over above. Wider
-chains, such as values of 10^9, enumerate their path times, at most
-MAX_PROFILE_ENTRIES of them, into one array in subset order, one entry per
-path: a half is kept so, and only the whole profile (`propagate`, for a
-dump) sorts it and counts each run of equal times in uint64.
+chains, such as values of 10^9, have at most MAX_PROFILE_ENTRIES paths and
+are kept as their base and steps (a Chain). Each reader writes such a
+chain's path values, one entry per path in subset order, where it needs
+them: detection straight into its sort buffer, tagged, and the perturbation
+pre-pass and the whole profile (`propagate`, for a dump) as plain times,
+which they sort and count, each run of equal times in uint64.
 Every time fits int64: a layout's longest path is below
 model.MAX_DELAY_QUANTA = 2^62, and a perturbed device is checked against the
 same bound in grid units. Each array of times takes its width from a bound
@@ -34,12 +36,14 @@ It cuts the chain at its middle node and propagates the first n // 2 stages
 and the rest on their own (a SplitProfile). A ray crosses both halves, so
 the rays arriving at M number sum_t left(t) * right(M - t). Both halves go
 into one buffer, each left time t as the key 2(M - t) and each right time r
-as 2r + 1, and one sort brings a key directly before the right time one
-above it where a pair meets; from the same runs of equal values come the
-multiplicity of each meet and each half's distinct times. M = B + n*k is
-below 2^63, since B and n*k are each below 2^62, and past 2^62, where no
-pair can meet, a key may wrap in int64 without merging two. Each half holds
-at most 2^ceil(n/2) entries, and the caps apply per half. The halves are
+as 2r + 1; an enumerated half writes them there from its chain, the tag
+folded into the base and the steps, so no plain path time is written first.
+One sort brings a key directly before the right time one above it where a
+pair meets; from the same runs of equal values come the multiplicity of
+each meet and each half's distinct times. M = B + n*k is below 2^63, since
+B and n*k are each below 2^62, and past 2^62, where no pair can meet, a key
+may wrap in int64 without merging two. Each half has at most 2^ceil(n/2)
+paths, and the caps apply per half. The halves are
 the one way the exact device is read: the solver, the epsilon demonstration
 and the perturbation pre-pass read them, and the whole profile
 (`propagate`) is built only to be dumped.
@@ -126,27 +130,58 @@ PERTURB_CHUNK_ARRIVALS = 1 << 16
 class ArrivalProfile:
     """Arrival moments at a node, in quanta.
 
-    A counted profile holds sorted distinct int64 times with positive ray
-    counts, uint64 up to 63 stages and object (Python ints) above. An
-    enumerated half (`counts` None) holds one entry per path instead: every
-    path's time in subset order, equal times repeated, int32 when the
-    chain's longest path is below 2^31 and int64 otherwise.
+    Sorted distinct int64 times with positive ray counts, uint64 up to 63
+    stages and object (Python ints) above.
     """
 
     stage_index: int
     times: np.ndarray
-    counts: np.ndarray | None
+    counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
 
     def items(self) -> list[tuple[int, int]]:
         """(time, count) pairs in ascending time, as plain ints."""
-        if self.counts is None:
-            times, counts = _runs(np.sort(self.times))
-        else:
-            times, counts = self.times, self.counts
-        return list(zip(times.tolist(), counts.tolist()))
+        return list(zip(self.times.tolist(), self.counts.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """A chain of stages: its base, the sum of its skip delays, and its steps.
+
+    A step is take - skip of one stage, and a path's time is the base plus
+    the steps it takes, in [0, top]. An enumerated half is kept so: whoever
+    reads it writes its 2^stages path values where it needs them, through
+    `_path_times`, and folds any affine map of the times, such as a tag, into
+    the base and the steps.
+    """
+
+    base: int
+    steps: list[int]
+    top: int  # the longest path: the base plus the positive steps
+
+    @property
+    def stage_index(self) -> int:
+        return len(self.steps)
+
+    def __len__(self) -> int:
+        return 1 << len(self.steps)
+
+    def path_times(self) -> np.ndarray:
+        """Every path's time in subset order, one entry per path, equal times repeated.
+
+        int32 when the longest path is below 2^31, which numpy sorts 1.5 times
+        as fast as int64 (8192 times of 13 values to 5e4, 2-vCPU VM), and
+        int64 otherwise.
+        """
+        return _path_times(self.base, self.steps, np.empty(len(self), dtype=_time_dtype(self.top)))
+
+    def counted(self) -> ArrivalProfile:
+        """The chain's distinct path times, with the paths at each."""
+        times = self.path_times()
+        times.sort()
+        return ArrivalProfile(self.stage_index, *_runs(times))
 
 
 def _count_dtype(n: int) -> type:
@@ -196,16 +231,20 @@ def _path_times(base: int | np.ndarray, steps: Sequence[int] | np.ndarray,
     steps, these are the path times: path p takes stage s's take arc when
     bit s of p is set and its skip arc otherwise, and equal times are kept.
     An affine map of every path time, such as a tag, is folded into the base
-    and the steps. `out` may be a column slice of a wider buffer, and its
-    dtype must hold every path value, since every entry ever written is one.
-    A row is stepped by Python ints, which cost less per stage than array
-    operands, and a batch a column at a time in the dtype of `out`.
+    and the steps. `out` may be a slice of a wider buffer, and its dtype must
+    hold every path value, since every entry ever written is one. A row is
+    stepped by Python ints over plain slices, which cost less per stage than
+    array operands and `...` slices, and a batch a column at a time in the
+    dtype of `out`.
     """
-    out[..., 0] = base
-    if out.ndim == 2:
-        steps = steps.astype(out.dtype, copy=False).T[:, :, None]
-    for stage, step in enumerate(steps):
-        np.add(out[..., : 1 << stage], step, out=out[..., 1 << stage : 2 << stage])
+    if out.ndim == 1:
+        out[0] = base
+        for stage, step in enumerate(steps):
+            np.add(out[: 1 << stage], step, out=out[1 << stage : 2 << stage])
+        return out
+    out[:, 0] = base
+    for stage, step in enumerate(steps.astype(out.dtype, copy=False).T[:, :, None]):
+        np.add(out[:, : 1 << stage], step, out=out[:, 1 << stage : 2 << stage])
     return out
 
 
@@ -223,19 +262,21 @@ def _check_paths(stages: int) -> None:
         )
 
 
-def _chain(arcs: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
-    """A chain's base, the sum of its skip delays, and its steps, take - skip a stage."""
-    return sum(skip for skip, _ in arcs), [take - skip for skip, take in arcs]
+def _chain(arcs: Sequence[tuple[int, int]]) -> Chain:
+    base = sum(skip for skip, _ in arcs)
+    steps = [take - skip for skip, take in arcs]
+    return Chain(base, steps, base + sum(step for step in steps if step > 0))
 
 
-def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
+def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile | Chain:
     # Dense while the slots, one a moment from the least path time to the
-    # latest, are few next to the 2^stages paths, else every path time is
-    # enumerated, one entry per path. Past 22 stages, too many paths to
-    # enumerate, every chain whose slots fit runs dense.
-    base, steps = _chain(arcs)
-    stages = len(steps)
-    slots = sum(map(abs, steps)) + 1
+    # latest, are few next to the 2^stages paths, else the chain is kept as
+    # it is and its reader enumerates every path time, one entry per path.
+    # Past 22 stages, too many paths to enumerate, every chain whose slots
+    # fit runs dense.
+    chain = _chain(arcs)
+    stages = len(chain.steps)
+    slots = sum(map(abs, chain.steps)) + 1
     if slots <= MAX_PROFILE_ENTRIES and DENSE_PATHS_PER_SLOT * slots <= 1 << stages:
         additions = stages * slots * -(-stages // 64)
         if additions > MAX_DENSE_WORD_ADDITIONS:
@@ -243,28 +284,24 @@ def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile:
                 f"a dense chain of {stages} stages over {slots} slots takes "
                 f"{additions} word additions, past the cap of {MAX_DENSE_WORD_ADDITIONS}"
             )
-        return _propagate_dense(base, steps, slots)
+        return _propagate_dense(chain.base, chain.steps, slots)
     _check_paths(stages)
-    # Path times lie in [0, base + the positive steps]: int32 below 2^31, which numpy
-    # sorts 1.5 times as fast as int64 (8192 times of 13 values to 5e4, 2-vCPU VM).
-    top = base + sum(step for step in steps if step > 0)
-    times = _path_times(base, steps, np.empty(1 << stages, dtype=_time_dtype(top)))
-    return ArrivalProfile(stage_index=stages, times=times, counts=None)
+    return chain
 
 
 @dataclass(frozen=True, eq=False)
 class SplitProfile:
-    """A device cut at its middle node: the profiles of its two halves.
+    """A device cut at its middle node: its two halves.
 
     `left` went through the first n // 2 stages and `right` through the
     rest, each a dense profile, distinct times with their counts, or an
-    enumerated half, one entry per path. Every ray crosses both, so the rays
+    enumerated half, kept as its chain. Every ray crosses both, so the rays
     arriving at moment M number sum_t left(t) * right(M - t); a moment is
     read from the halves without building the whole profile.
     """
 
-    left: ArrivalProfile
-    right: ArrivalProfile
+    left: ArrivalProfile | Chain
+    right: ArrivalProfile | Chain
     # Each half's distinct arrival times, [left, right], as count_at read them.
     _entries: list[int] = field(default_factory=list, init=False, repr=False)
 
@@ -288,15 +325,18 @@ class SplitProfile:
 
         Both halves go into one buffer, tagged by parity: each left time l as
         the key 2(time - l) and each right time r as 2r + 1, and the buffer is
-        sorted once. A left time and a right time meet when r = time - l, and
-        then the run of the key 2r is directly followed by the run of 2r + 1,
-        since no value lies between: two neighbours that differ in the tag
-        bit alone. Only those few meets are looked up. An entry stands for as
-        many paths as its run is long in an enumerated half, and for its
-        count, found by searchsorted, in a dense one; the products are taken
-        in the count dtype of the whole device. The same runs give each
-        half's distinct times for `half_entries`: its entries less those equal
-        to the entry before them.
+        sorted once. An enumerated half writes its tagged paths straight into
+        the buffer, the tag folded into its chain's base and steps (both
+        halves as one two-row batch when they have as many stages), and a
+        dense half is tagged from its times. A left time and a right time
+        meet when r = time - l, and then the run of the key 2r is directly
+        followed by the run of 2r + 1, since no value lies between: two
+        neighbours that differ in the tag bit alone. Only those few meets are
+        looked up. An entry stands for as many paths as its run is long in an
+        enumerated half, and for its count, found by searchsorted, in a dense
+        one; the products are taken in the count dtype of the whole device.
+        The same runs give each half's distinct times for `half_entries`: its
+        entries less those equal to the entry before them.
 
         The buffer is int32 when 2 max(time, both halves' latest times) + 1 is
         below 2^31, so that no value wraps, and int64 otherwise. A key wraps
@@ -307,13 +347,31 @@ class SplitProfile:
         """
         left, right = self.left, self.right
         moment = max(time, -1)  # no ray arrives before 0
-        dtype = _time_dtype(2 * max(moment, int(left.times.max()), int(right.times.max())) + 1)
+        dtype = _time_dtype(2 * max(moment, _latest(left), _latest(right)) + 1)
         split = len(left)
         tagged = np.empty(split + len(right), dtype=dtype)
-        np.subtract(moment, left.times, out=tagged[:split], dtype=dtype, casting="unsafe")
-        np.left_shift(right.times, 1, out=tagged[split:], dtype=dtype, casting="unsafe")
-        tagged[:split] <<= 1
-        tagged[split:] |= 1
+        key_part, time_part = tagged[:split], tagged[split:]
+        rows = []  # (tagged base, tagged steps, buffer part) of each chain
+        if isinstance(left, Chain):
+            # 2(moment - base) is below 2^64; in int64 it is taken modulo
+            # 2^64, as every key past it is
+            base = 2 * (moment - left.base)
+            rows.append((base - (1 << 64) if base >= 1 << 63 else base,
+                         [-2 * step for step in left.steps], key_part))
+        else:
+            np.subtract(moment, left.times, out=key_part, dtype=dtype, casting="unsafe")
+            key_part <<= 1
+        if isinstance(right, Chain):
+            rows.append((2 * right.base + 1, [2 * step for step in right.steps], time_part))
+        else:
+            np.left_shift(right.times, 1, out=time_part, dtype=dtype, casting="unsafe")
+            time_part |= 1
+        if len(rows) == 2 and split == len(right):
+            bases, steps, _ = zip(*rows)
+            _path_times(np.array(bases, dtype), np.array(steps, dtype), tagged.reshape(2, split))
+        else:
+            for row in rows:
+                _path_times(*row)
         tagged.sort()
         # An entry equal to the one before it repeats its half's time, an odd
         # one a right time.
@@ -331,11 +389,11 @@ class SplitProfile:
         # A meet's key run ends at `meets`, its time run starts one after.
         after = meets + 1
         times = tagged[after]
-        if left.counts is None:
+        if isinstance(left, Chain):
             paths_left = after - np.searchsorted(tagged, tagged[meets])
         else:
             paths_left = left.counts[np.searchsorted(left.times, moment - (times >> 1))]
-        if right.counts is None:
+        if isinstance(right, Chain):
             paths_right = np.searchsorted(tagged, times, side="right") - after
         else:
             paths_right = right.counts[np.searchsorted(right.times, times >> 1)]
@@ -343,6 +401,11 @@ class SplitProfile:
         # multiply in the dtype of the whole device.
         count = _count_dtype(self.stage_index)
         return int((paths_left.astype(count) * paths_right.astype(count)).sum())
+
+
+def _latest(half: ArrivalProfile | Chain) -> int:
+    """A half's latest arrival time."""
+    return half.top if isinstance(half, Chain) else int(half.times[-1])
 
 
 def _arcs(layout: DeviceLayout) -> list[tuple[int, int]]:
@@ -362,20 +425,19 @@ def _partnered(own: np.ndarray, other: np.ndarray, lo: int, hi: int) -> np.ndarr
     return ((i < len(other)) & (first <= keys + (hi - lo)))[::-1]
 
 
-def _candidates(times: np.ndarray, counts: np.ndarray, near: np.ndarray,
-                arcs: Sequence[tuple[int, int]]) -> np.ndarray | None:
+def _candidates(half: ArrivalProfile, near: np.ndarray, arcs: Sequence[tuple[int, int]]
+                ) -> np.ndarray | None:
     """The subset-order indices of the chain's paths whose time is a `near` one.
 
-    `times` and `counts` are a half's distinct times and the paths at each,
-    `near` marks some of the times, at least one, and `arcs` is the chain the
-    half went through. None when at least half of the paths qualify: finding
-    a subset costs more than so small a saving. Only a proper subset
-    enumerates the chain's paths.
+    `half` holds the distinct times and the paths at each of the chain
+    `arcs`, and `near` marks some of its times, at least one. None when at
+    least half of the paths qualify: finding a subset costs more than so
+    small a saving. Only a proper subset enumerates the chain's paths.
     """
-    if 2 * int(counts[near].sum()) >= 1 << len(arcs):
+    if 2 * int(half.counts[near].sum()) >= 1 << len(arcs):
         return None
-    paths = _path_times(*_chain(arcs), np.empty(1 << len(arcs), dtype=np.int64))
-    near_times = times[near]
+    paths = _chain(arcs).path_times()
+    near_times = half.times[near]
     i = np.minimum(np.searchsorted(near_times, paths), len(near_times) - 1)
     return np.flatnonzero(near_times[i] == paths)
 
@@ -477,10 +539,7 @@ def propagate(layout: DeviceLayout) -> ArrivalProfile:
     sum(a_i) + n*k.
     """
     profile = _propagate_chain(_arcs(layout))
-    if profile.counts is None:
-        profile.times.sort()
-        profile = ArrivalProfile(profile.stage_index, *_runs(profile.times))
-    return profile
+    return profile.counted() if isinstance(profile, Chain) else profile
 
 
 def propagate_halves(layout: DeviceLayout) -> SplitProfile:
@@ -621,10 +680,11 @@ def perturb_and_classify(
     times against each other: every trial detects when some pair lies within
     half a quantum minus n * error of the target, and a half-path is a
     candidate when some partner makes a pair within half a quantum plus
-    n * error; an enumerated half is sorted and counted once for this. The
-    ray counts of the candidate times tell whether a half keeps a proper
-    subset of its paths; only then are its exact paths enumerated to mark
-    which. Trials run PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time, or
+    n * error; an enumerated half writes its path times from its chain, and
+    sorts and counts them, once for this. The ray counts of the candidate
+    times tell whether a half keeps a proper subset of its paths; only then
+    are its exact paths enumerated again to mark which. Trials run
+    PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time, or
     PERTURB_CHUNK_ARRIVALS // 8n when the exact halves decide them (at least
     one). A chunk draws and checks its errors; unless some pair always
     detects or none can, it enumerates the tagged path times of its
@@ -666,36 +726,24 @@ def perturb_and_classify(
     # A perturbed path lies within n*err_span grid units of its exact time of
     # S quanta. It can land in the window only when |S - moment| <= near, and
     # lands there in every trial when |S - moment| <= sure (none if negative).
-    # The pre-pass reads counted profiles. It owns these halves, so an
-    # enumerated one is sorted in place and counted: sorting a copy to keep
-    # the subset order costs more than enumerating a proper subset's chain
-    # again in _candidates.
+    # The pre-pass reads counted profiles: an enumerated half writes its
+    # path times, sorts and counts them.
     moment = instance.target + n * params.offset_k_quanta
     near = (window_g + n * err_span) // PERTURB_GRID
     sure = (window_g - n * err_span) // PERTURB_GRID
     halves = propagate_halves(layout)
-    counted = []
-    for h in (halves.left, halves.right):
-        if h.counts is None:
-            h.times.sort()
-            counted.append(_runs(h.times))
-        else:
-            counted.append((h.times, h.counts))
-    # The searches below allocate arrays the size of the halves: dropping
-    # the enumerated entries first lets them reuse that memory, where keeping
-    # them cost 3-7% of the pre-pass at n = 34-40 (2-vCPU VM).
-    del halves, h
-    (left, _), (right, _) = counted
-    always = sure >= 0 and bool(_partnered(left, right, moment - sure, moment + sure).any())
+    left, right = (h.counted() if isinstance(h, Chain) else h for h in (halves.left, halves.right))
+    always = sure >= 0 and bool(_partnered(left.times, right.times, moment - sure,
+                                           moment + sure).any())
     cut = n // 2
     exact = _arcs(layout)
     candidates = None
     if not always:
-        near_left = _partnered(left, right, moment - near, moment + near)
+        near_left = _partnered(left.times, right.times, moment - near, moment + near)
         if near_left.any():
-            near_right = _partnered(right, left, moment - near, moment + near)
-            candidates = (_candidates(*counted[0], near_left, exact[:cut]),
-                          _candidates(*counted[1], near_right, exact[cut:]))
+            near_right = _partnered(right.times, left.times, moment - near, moment + near)
+            candidates = (_candidates(left, near_left, exact[:cut]),
+                          _candidates(right, near_right, exact[cut:]))
 
     # A trial the exact halves decide draws its errors and enumerates nothing.
     if candidates is None:

@@ -349,6 +349,17 @@ def test_oracle_cap_is_a_resource_error(tmp_path, capsys):
     assert "resource" in err
 
 
+def test_mitm_cap_is_a_resource_error_before_it_allocates(tmp_path, capsys):
+    # 45 unit values propagate as two dense halves, so the simulator answers;
+    # meet-in-the-middle would need 2^23 sums in one half, past its cap of
+    # 44 values, and exits 4 before allocating them
+    f = write_instance(tmp_path, {"set": [1] * 45, "target": 3})
+    code, report, err = run(capsys, ["solve", f, "--oracle", "mitm"])
+    assert code == 4
+    assert report is None
+    assert "meet-in-the-middle is capped at n <= 44, got 45" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve"],
     ["compile"],

@@ -40,8 +40,7 @@ def test_dp_target_budget(monkeypatch):
 
 
 def enumerated_sums(values):
-    """The doubling enumeration behind brute force and meet-in-the-middle,
-    as a multiset of sums."""
+    """The doubling enumeration behind brute force, as a multiset of sums."""
     return Counter(int(s) for s in oracles._all_subset_sums(tuple(values)))
 
 
@@ -130,6 +129,42 @@ def test_mitm_agrees_with_brute_force_up_to_twenty_values():
                 assert ls.solve_mitm(inst).verdict is ls.solve_bruteforce(inst).verdict, inst
 
 
+def test_mitm_agrees_with_brute_force_and_the_dp_on_a_grid():
+    # n = 0 to 13, so halves of equal and of unequal length; targets of 0, of
+    # a sum of some values and beside it, of the whole sum and past it;
+    # repeated values, and values above the target
+    rng = random.Random(44)
+    for n in range(14):
+        for _ in range(5):
+            pool = [rng.randint(1, rng.choice([3, 40, 500])) for _ in range(rng.randint(1, 4))]
+            values = [rng.choice(pool + [10**5]) for _ in range(n)]
+            total = sum(values)
+            some = sum(v for v in values if rng.random() < 0.5)
+            for target in sorted({0, 1, some, some + 1, max(0, some - 1), total, total + 1,
+                                  2 * total + 3}):
+                inst = ls.Instance.from_values(values, target)
+                expected = ls.solve_bruteforce(inst).verdict
+                assert ls.solve_mitm(inst).verdict is expected, inst
+                assert ls.solve_dp(inst).verdict is expected, inst
+
+
+@pytest.mark.parametrize("top", [2**30 - 1, 2**30], ids=["int32", "int64"])
+def test_mitm_is_exact_on_both_sides_of_its_int32_buffer(top):
+    # meet-in-the-middle keeps its sums in int32 while 2 max(B, sum) + 1 is
+    # below 2^31: a largest of B and the sum of 2^30 - 1 keeps int32, one of
+    # 2^30 goes int64. Either the values' sum or the target is that largest;
+    # these targets are past the DP's table
+    for values in ([2**29, top - 2**29 - 8, 3, 5], [2**29, 2**29 - 9, 3, 5]):
+        total = sum(values)
+        targets = {0, 3, 8, 2**29 + 3, 2**29 + 4, total - 5, total - 3, total - 1, total, top,
+                   top - 1}
+        for target in sorted(t for t in targets if t <= top):
+            inst = ls.Instance.from_values(values, target)
+            assert max(target, total) <= top
+            expected = ls.solve_bruteforce(inst).verdict
+            assert ls.solve_mitm(inst).verdict is expected, (values, target)
+
+
 def test_mitm_cap():
     inst = ls.Instance.from_values([1] * 51, 3)
     with pytest.raises(ls.ResourceLimit):
@@ -177,13 +212,23 @@ def test_auto_picks_a_working_solver_across_regimes():
 
 @pytest.mark.parametrize("n", [10, 20, 26, 40])
 def test_auto_pick_changes_at_the_fitted_bound(n):
-    # the DP runs while B < 2^max(16, n // 2 + 6): 2^16 at n = 10 and 20,
-    # 2^19 at n = 26, 2^26 at n = 40
-    bound = 1 << max(16, n // 2 + 6)
+    # the DP runs while B < 2^max(16, n // 2 + 4): 2^16 at n = 10 and 20,
+    # 2^17 at n = 26, 2^24 at n = 40
+    bound = 1 << max(16, n // 2 + 4)
     for target, solver in ((bound - 1, "dp"), (bound, "mitm")):
         inst = ls.Instance.from_values([1] * (n - 1) + [target - n + 1], target)
         result = ls.solve_auto(inst)
         assert (result.solver_name, result.verdict) == (solver, ls.Verdict.YES), target
+
+
+def test_auto_runs_the_dp_past_the_mitm_cap():
+    # at n = 45 the bound is 2^26, and meet-in-the-middle is past its cap:
+    # the DP runs while its table fits, and past it no solver can
+    target = 1 << 26
+    result = ls.solve_auto(ls.Instance.from_values([1] * 44 + [target - 44], target))
+    assert (result.solver_name, result.verdict) == ("dp", ls.Verdict.YES)
+    with pytest.raises(ls.ResourceLimit, match="no exact solver"):
+        ls.solve_auto(ls.Instance.from_values([1] * 45, oracles.DP_MAX_TABLE_BITS))
 
 
 def test_auto_picks_mitm_on_twenty_five_values_to_a_million():

@@ -171,16 +171,25 @@ def test_half_times_match_the_int64_enumerator_on_both_sides_of_2_31(epsilon, ho
     low = sum(max(arc) for arc in half_arcs(100)[1])
     layout, arcs = half_arcs(horizon - low + 100)
     assert sum(max(arc) for arc in arcs) == horizon
-    # the half keeps one entry per path, in subset order
+    # the half is kept as its chain, and enumerates one entry per path, in
+    # subset order
     base = sum(skip for skip, _ in arcs)
     steps = [take - skip for skip, take in arcs]
     times = sim._path_times(np.array([base]), np.array([steps]), np.empty((1, 32), np.int64))
     half = getattr(ls.propagate_halves(layout), side)
-    assert half.counts is None
-    assert half.times.dtype == (np.int32 if horizon < 2**31 else np.int64)
-    assert half.times.tolist() == times[0].tolist()
+    assert isinstance(half, sim.Chain)
+    assert half.top == horizon
+    paths = half.path_times()
+    assert paths.dtype == (np.int32 if horizon < 2**31 else np.int64)
+    assert paths.tolist() == times[0].tolist()
     expected = {base + s: c for s, c in subset_sums([take - skip for skip, take in arcs]).items()}
-    assert dict(half.items()) == expected
+    assert dict(half.counted().items()) == expected
+
+
+def latest_path(halves):
+    """The latest path time of either half, both kept as chains, as they enumerate it."""
+    assert isinstance(halves.left, sim.Chain) and isinstance(halves.right, sim.Chain)
+    return max(int(half.path_times().max()) for half in (halves.left, halves.right))
 
 
 @pytest.mark.parametrize("gap", [7, 3, 2], ids=["near", "below", "at"])
@@ -195,8 +204,7 @@ def test_count_at_matches_subset_sums_on_both_sides_of_2_31(gap, order):
     values = long + short if order == "long-left" else short + long
     inst = ls.Instance.from_values(values, 0)
     halves = ls.propagate_halves(ls.compile_layout(inst, P))
-    longest = max(halves.left.times[-1], halves.right.times[-1])
-    assert longest == 2**31 + 2 - gap
+    assert latest_path(halves) == 2**31 + 2 - gap
     sums = subset_sums(values)
     hits = 0
     for moment in [*range(0, 12), *range(2**31 - 12, 2**31 + 12)]:
@@ -217,7 +225,7 @@ def test_count_at_reads_the_tagged_halves_on_both_sides_of_2_30(longest, order):
     values = long + [1, 2] if order == "long-left" else [1, 2] + long
     inst = ls.Instance.from_values(values, 0)
     halves = ls.propagate_halves(ls.compile_layout(inst, P))
-    assert max(halves.left.times.max(), halves.right.times.max()) == longest
+    assert latest_path(halves) == longest
     sums = subset_sums(values)
     hits = 0
     for moment in [*range(0, 12), *range(2**29 - 4, 2**29 + 8), *range(2**30 - 8, 2**30 + 8),
@@ -231,6 +239,30 @@ def test_count_at_reads_the_tagged_halves_on_both_sides_of_2_30(longest, order):
     for moment in (-1, -2**31 + 2**30, -2**31, -2**62, -2**63):
         assert halves.count_at(moment) == 0
     assert halves.half_entries == [4, 4]
+
+
+@pytest.mark.parametrize("order", ["long-left", "long-right"])
+def test_count_at_reads_unequal_halves_across_2_30_and_2_31(order):
+    # n = 5: halves of 2 and 3 stages, both kept as chains, each enumerated
+    # into the tagged buffer on its own. Either half's latest path is below
+    # 2^30, and the sums with both long values lie from 2^30 - 9 to 2^30 - 2,
+    # so their moments straddle 2^30, where the buffer goes from int32 to
+    # int64; past 2^31 nothing arrives
+    long, short = [2**29, 2**29 - 9], [1, 2, 4]
+    values = long + short if order == "long-left" else short[:2] + long + short[2:]
+    inst = ls.Instance.from_values(values, 0)
+    halves = ls.propagate_halves(ls.compile_layout(inst, P))
+    assert (halves.left.stage_index, halves.right.stage_index) == (2, 3)
+    assert latest_path(halves) == (2**30 - 7 if order == "long-left" else 2**30 - 2)
+    sums = subset_sums(values)
+    hits = 0
+    for moment in [*range(0, 14), *range(2**29 - 4, 2**29 + 14), *range(2**30 - 12, 2**30 + 12),
+                   *range(2**31 - 6, 2**31 + 6)]:
+        count = halves.count_at(moment)
+        assert count == sums.get(moment - 5, 0), (values, moment)
+        hits += moment >= 2**30 - 12 and count
+    assert hits == 8
+    assert halves.half_entries == [4, 8]
 
 
 def test_sparse_path_handles_values_too_long_to_pack():
@@ -285,13 +317,14 @@ def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, per_slot,
             split = halves_of(layout, per_slot, monkeypatch)
             whole = dict(ls.propagate(layout).items())
             assert (split.left.stage_index, split.right.stage_index) == (n // 2, n - n // 2)
-            kinds = [half.counts is None for half in (split.left, split.right)]
+            kinds = [isinstance(half, sim.Chain) for half in (split.left, split.right)]
             assert kinds == [value > 0 for value in per_slot]
             horizon = sum(s.take_delay for s in layout.stages)
             for t in range(horizon + 2):
                 assert split.count_at(t) == whole.get(t, 0), (layout, t)
-            assert split.half_entries == [len(set(split.left.times.tolist())),
-                                          len(set(split.right.times.tolist()))]
+            assert split.half_entries == [
+                len(set((h.path_times() if isinstance(h, sim.Chain) else h.times).tolist()))
+                for h in (split.left, split.right)]
             # the window reader of the perturbation trials, on a batch of two
             # copies of the chain, each half read whole or through the index
             # of every one of its paths, in int32 or int64
