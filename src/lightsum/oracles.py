@@ -6,7 +6,9 @@ subset sums, and meet-in-the-middle, both halves' 2^(n/2) sums in one buffer
 and one sort, whatever the target. Every simulated verdict is checked
 against at least one of these. `solve_auto` picks the DP or
 meet-in-the-middle by their cost; brute force is picked only by name, and is
-the tests' reference. None of them shares code with the simulator.
+the tests' reference. Each answers NO at once, before its cap, when the
+target passes the sum of the values. None of them shares code with the
+simulator.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def solve_dp(instance: Instance) -> OracleResult:
     mask is applied only from the value that passes B.
     """
     b = instance.target
+    if b > instance.total:
+        return OracleResult(Verdict.NO, "dp")
     if b + 1 > DP_MAX_TABLE_BITS:
         raise ResourceLimit(
             f"DP table of {b + 1} bits exceeds the budget of {DP_MAX_TABLE_BITS}"
@@ -76,6 +80,8 @@ def _all_subset_sums(values: tuple[int, ...]) -> np.ndarray:
 
 def solve_bruteforce(instance: Instance) -> OracleResult:
     """Exhaustive enumeration of every subset sum."""
+    if instance.target > instance.total:
+        return OracleResult(Verdict.NO, "bruteforce")
     if instance.n > BRUTE_FORCE_MAX_N:
         raise ResourceLimit(
             f"brute force is capped at n <= {BRUTE_FORCE_MAX_N}, got {instance.n}"
@@ -97,12 +103,13 @@ def solve_mitm(instance: Instance) -> OracleResult:
     included, lies within 2 max(B, sum) + 1: int32 while that is below 2^31,
     int64 otherwise. Capped at MITM_MAX_N values, 2^22 sums a half.
     """
-    n = instance.n
+    n, b, values = instance.n, instance.target, instance.values
+    if b > sum(values):
+        return OracleResult(Verdict.NO, "mitm")
     if n > MITM_MAX_N:
         raise ResourceLimit(
             f"meet-in-the-middle is capped at n <= {MITM_MAX_N}, got {n}"
         )
-    b, values = instance.target, instance.values
     half = n // 2
     top = 2 * max(b, sum(values)) + 1
     sums = np.empty((1 << half) + (1 << (n - half)), dtype=np.int32 if top < 2**31 else np.int64)
@@ -127,12 +134,13 @@ def solve_auto(instance: Instance) -> OracleResult:
     n*2^(n/2) sort steps, so the DP runs while B < 2^(n//2 + 4), fitted on a
     2-vCPU VM (BENCH_exact_reads.json). Below B = 2^16 it runs at any n: it
     takes some tens of microseconds there, no more than meet-in-the-middle's
-    fixed numpy cost. Past MITM_MAX_N it runs whenever its table fits.
+    fixed numpy cost. Past MITM_MAX_N it runs whenever its table fits, and
+    meet-in-the-middle answers a target past the sum of the values at once.
     """
     n, b = instance.n, instance.target
     if b + 1 <= DP_MAX_TABLE_BITS and (n > MITM_MAX_N or b < 1 << max(16, n // 2 + 4)):
         return solve_dp(instance)
-    if n <= MITM_MAX_N:
+    if n <= MITM_MAX_N or b > instance.total:
         return solve_mitm(instance)
     raise ResourceLimit(
         f"no exact solver can handle n={n}, B={b} within the configured limits"

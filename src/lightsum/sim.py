@@ -7,45 +7,46 @@ the two, so after n stages the histogram at the destination is exactly the
 multiset of subset sums shifted by the accumulated skip delays. The offset
 device and the epsilon device differ only in those two delays.
 
-A chain is read as its base, the sum of its skip delays, and its steps,
-take - skip a stage: a path's time is the base plus the steps it takes, so
-an offset k on every skip arc moves the base alone. While a chain has
-DENSE_PATHS_PER_SLOT paths (2^stages) or more per slot, one a moment from
-its least path time to its latest, and its sum |step| + 1 slots fit
-MAX_PROFILE_ENTRIES, it runs on one dense count array and a scratch row: a
-stage copies the occupied slots aside and adds them back |step| higher.
-Counts are at most 2^n, so uint64 is exact up to n = 63 and Python ints
-(object dtype), capped by MAX_DENSE_WORD_ADDITIONS, take over above. Wider
-chains, such as values of 10^9, have at most MAX_PROFILE_ENTRIES paths and
-are kept as their base and steps (a Chain). Each reader writes such a
-chain's path values, one entry per path in subset order, where it needs
-them: detection straight into its sort buffer, tagged, and the perturbation
-pre-pass and the whole profile (`propagate`, for a dump) as plain times,
-which they sort and count, each run of equal times in uint64.
-Every time fits int64: a layout's longest path is below
-model.MAX_DELAY_QUANTA = 2^62, and a perturbed device is checked against the
-same bound in grid units. Each array of times takes its width from a bound
-the code already has, and is int32 below 2^31: a chain's longest path for
-its enumeration; twice the moment and both halves' latest times, plus one,
-for detection's tagged sort; twice the larger of the longest perturbed path
-and the window top, plus one, for the trials. Otherwise it is int64, and
-counted profiles keep int64 times.
+Every chain, and so every half, is kept as its earliest arrival time,
+`least`, the sum of each stage's shorter arc, and its arrivals measured from
+it, which lie in [0, span] for span the sum of |take - skip| over its
+stages. An offset k on every skip arc, or an epsilon, moves `least` alone,
+and each reader measures its moment from the halves' `least`, so k enters no
+read, width or bound. While a chain has DENSE_PATHS_PER_SLOT paths
+(2^stages) or more per slot, one a moment over its span, and its span + 1
+slots fit MAX_PROFILE_ENTRIES, it runs on one dense count array and a
+scratch row: a stage copies the occupied slots aside and adds them back
+|step| higher. Counts are at most 2^n, so uint64 is exact up to n = 63 and
+Python ints (object dtype), capped by MAX_DENSE_WORD_ADDITIONS, take over
+above. Wider chains, such as values of 10^9, have at most
+MAX_PROFILE_ENTRIES paths and are kept as their steps (a Chain). Each reader
+writes such a chain's path values, one entry per path in subset order,
+where it needs them: detection straight into its sort buffer, tagged, and
+the perturbation pre-pass and the whole profile (`propagate`, for a dump) as
+plain times, which they sort and count, each run of equal times in uint64.
+Each array of times takes its width from a bound the code already has, and
+is int32 below 2^31: a chain's span for its enumeration; twice the halves'
+spans, plus two, for detection's tagged sort; and for the trials twice the
+largest of the longest perturbed path, the window top, and that path less
+the window bottom, plus one. Otherwise it is int64, below 2^62: a layout's
+longest path is below model.MAX_DELAY_QUANTA = 2^62, and a perturbed device
+is checked against the same bound in grid units. Counted profiles keep
+int64 times, and the whole profile folds `least` back in, so a dump is
+absolute.
 
 The detector reads one moment, so detection never builds the whole profile.
 It cuts the chain at its middle node and propagates the first n // 2 stages
 and the rest on their own (a SplitProfile). A ray crosses both halves, so
 the rays arriving at M number sum_t left(t) * right(M - t). Both halves go
 into one buffer, each left time t as the key 2(M - t) and each right time r
-as 2r + 1; an enumerated half writes them there from its chain, the tag
-folded into the base and the steps, so no plain path time is written first.
-One sort brings a key directly before the right time one above it where a
-pair meets; from the same runs of equal values come the multiplicity of
-each meet and each half's distinct times. M = B + n*k is below 2^63, since
-B and n*k are each below 2^62, and past 2^62, where no pair can meet, a key
-may wrap in int64 without merging two. Each half has at most 2^ceil(n/2)
-paths, and the caps apply per half. The halves are
-the one way the exact device is read: the solver, the epsilon demonstration
-and the perturbation pre-pass read them, and the whole profile
+as 2r + 1, M measured from both halves' `least`; an enumerated half writes
+them there from its chain, the tag folded into the base and the steps, so
+no plain path time is written first. One sort brings a key directly before
+the right time one above it where a pair meets; from the same runs of equal
+values come the multiplicity of each meet and each half's distinct times.
+Each half has at most 2^ceil(n/2) paths, and the caps apply per half. The
+halves are the one way the exact device is read: the solver, the epsilon
+demonstration and the perturbation pre-pass read them, and the whole profile
 (`propagate`) is built only to be dumped.
 
 Perturbation trials cut their chains at the same node, and the exact halves,
@@ -58,7 +59,7 @@ reads its windows from the tagged path times of its perturbed halves.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import IO, Callable, Sequence
 
@@ -106,16 +107,16 @@ WRITE_PROFILE_ROWS = 1 << 12
 PERTURB_GRID = 10**6
 
 # A run is capped at MAX_PERTURB_ARRIVALS arrivals, charged per trial. A trial
-# that enumerates is charged its 2^ceil(n/2) arrivals per half, one that the
-# exact halves decide its 2n drawn errors, and each a fixed
-# PERTURB_TRIAL_ARRIVALS on top. Measured on a 2-vCPU VM: a decided trial
-# costs about 0.07 us at n = 1 and 2.7-3 us at n = 32-40, so the fixed charge
-# of 2^11 holds a run of them at the cap (about 5e5 trials) to about 1.5 s,
-# and lets 300 000 decided trials at n = 3 run (0.1 s). An enumerating trial
-# costs 0.3-0.8 us at n = 1-4 and 80-100 us at n = 24 when every half-path is
-# a candidate, so a run at the cap takes 0.2-0.4 s and 14-17 s there; from
-# n = 24 on its arrivals set the charge, and a run at the cap takes 19-29 s
-# at n = 28-36 and 33-41 s at n = 40 (1022 trials).
+# that enumerates is charged both halves' 2^floor(n/2) + 2^ceil(n/2)
+# arrivals, one that the exact halves decide its 2n drawn errors, and each a
+# fixed PERTURB_TRIAL_ARRIVALS on top. Measured on a 2-vCPU VM: a decided
+# trial costs about 0.07 us at n = 1 and 2.7-3 us at n = 32-40, so the fixed
+# charge of 2^11 holds a run of them at the cap (about 5e5 trials) to about
+# 1.5 s, and lets 300 000 decided trials at n = 3 run (0.1 s). An enumerating
+# trial on values to 100 cut within 0.4 quantum costs 0.3-0.8 us at n = 1-4,
+# about 100 us at n = 24 and 35 ms at n = 40, so a run at the cap takes
+# 0.1-0.4 s at n = 1-4; from n = 24 on its arrivals set the charge, and a run
+# at the cap takes 11-15 s at n = 24-36 and 18 s at n = 40 (511 trials).
 MAX_PERTURB_ARRIVALS = 1 << 30
 PERTURB_TRIAL_ARRIVALS = 1 << 11
 
@@ -128,13 +129,17 @@ PERTURB_CHUNK_ARRIVALS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class ArrivalProfile:
-    """Arrival moments at a node, in quanta.
+    """Arrival moments at a node, in quanta: `least` plus each of `times`.
 
     Sorted distinct int64 times with positive ray counts, uint64 up to 63
-    stages and object (Python ints) above.
+    stages and object (Python ints) above. A half's times start at 0, and
+    `least` is its earliest arrival; the whole profile that `propagate`
+    builds holds absolute times, and its `least` is 0.
     """
 
     stage_index: int
+    least: int
+    span: int  # the latest arrival time less the earliest
     times: np.ndarray
     counts: np.ndarray
 
@@ -148,18 +153,21 @@ class ArrivalProfile:
 
 @dataclass(frozen=True, eq=False)
 class Chain:
-    """A chain of stages: its base, the sum of its skip delays, and its steps.
+    """A chain of stages: its earliest path time, its base, its steps, and their span.
 
-    A step is take - skip of one stage, and a path's time is the base plus
-    the steps it takes, in [0, top]. An enumerated half is kept so: whoever
-    reads it writes its 2^stages path values where it needs them, through
-    `_path_times`, and folds any affine map of the times, such as a tag, into
-    the base and the steps.
+    A step is take - skip of one stage. A path's time is `least` plus its
+    value, `base` plus the steps it takes, which lies in [0, span]: the base
+    is the value of the path that takes no stage, the sum of |step| over the
+    negative steps. An enumerated half is kept so: whoever reads it writes
+    its 2^stages path values where it needs them, through `_path_times`, and
+    folds any affine map of the values, such as a tag, into the base and the
+    steps.
     """
 
+    least: int  # the sum of each stage's shorter arc
     base: int
     steps: list[int]
-    top: int  # the longest path: the base plus the positive steps
+    span: int  # the sum of |step|
 
     @property
     def stage_index(self) -> int:
@@ -169,19 +177,28 @@ class Chain:
         return 1 << len(self.steps)
 
     def path_times(self) -> np.ndarray:
-        """Every path's time in subset order, one entry per path, equal times repeated.
+        """Every path's value in subset order, one entry per path, equal values repeated.
 
-        int32 when the longest path is below 2^31, which numpy sorts 1.5 times
-        as fast as int64 (8192 times of 13 values to 5e4, 2-vCPU VM), and
-        int64 otherwise.
+        int32 when the span is below 2^31, which numpy sorts 1.5 times as
+        fast as int64 (8192 times of 13 values to 5e4, 2-vCPU VM), and int64
+        otherwise.
         """
-        return _path_times(self.base, self.steps, np.empty(len(self), dtype=_time_dtype(self.top)))
+        return _path_times(self.base, self.steps, np.empty(len(self), _time_dtype(self.span)))
 
     def counted(self) -> ArrivalProfile:
-        """The chain's distinct path times, with the paths at each."""
+        """The chain's distinct path times (int64), with the paths at each (uint64)."""
         times = self.path_times()
         times.sort()
-        return ArrivalProfile(self.stage_index, *_runs(times))
+        # Where each run of equal times starts, and where the last one ends: a
+        # run's count is the next start minus its own.
+        edges = np.empty(len(times) + 1, dtype=bool)
+        edges[0] = edges[-1] = True
+        np.not_equal(times[1:], times[:-1], out=edges[1:-1])
+        starts = np.flatnonzero(edges)
+        counts = np.empty(len(starts) - 1, dtype=np.uint64)
+        np.subtract(starts[1:], starts[:-1], out=counts, casting="unsafe")
+        return ArrivalProfile(self.stage_index, self.least, self.span,
+                              times[starts[:-1]].astype(np.int64), counts)
 
 
 def _count_dtype(n: int) -> type:
@@ -189,7 +206,7 @@ def _count_dtype(n: int) -> type:
     return np.uint64 if n <= 63 else object
 
 
-def _propagate_dense(base: int, steps: Sequence[int], slots: int) -> ArrivalProfile:
+def _propagate_dense(least: int, steps: Sequence[int], slots: int) -> ArrivalProfile:
     # Slot i counts the rays at the chain's least time plus i. At a stage of
     # step s every ray also moves |s| slots up, along its longer arc: a copy
     # of the occupied slots is added back |s| higher.
@@ -202,21 +219,7 @@ def _propagate_dense(base: int, steps: Sequence[int], slots: int) -> ArrivalProf
         counts[step : step + width] += before[:width]
         width += step
     times = np.flatnonzero(counts)
-    least = base + sum(step for step in steps if step < 0)
-    return ArrivalProfile(stage_index=len(steps), times=times + least, counts=counts[times])
-
-
-def _runs(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted path times as their distinct times (int64) and the paths at each (uint64)."""
-    # Where each run of equal times starts, and where the last one ends: a
-    # run's count is the next start minus its own.
-    edges = np.empty(len(times) + 1, dtype=bool)
-    edges[0] = edges[-1] = True
-    np.not_equal(times[1:], times[:-1], out=edges[1:-1])
-    starts = np.flatnonzero(edges)
-    counts = np.empty(len(starts) - 1, dtype=np.uint64)
-    np.subtract(starts[1:], starts[:-1], out=counts, casting="unsafe")
-    return times[starts[:-1]].astype(np.int64), counts
+    return ArrivalProfile(len(steps), least, slots - 1, times, counts[times])
 
 
 def _path_times(base: int | np.ndarray, steps: Sequence[int] | np.ndarray,
@@ -263,20 +266,19 @@ def _check_paths(stages: int) -> None:
 
 
 def _chain(arcs: Sequence[tuple[int, int]]) -> Chain:
-    base = sum(skip for skip, _ in arcs)
     steps = [take - skip for skip, take in arcs]
-    return Chain(base, steps, base + sum(step for step in steps if step > 0))
+    base = -sum(step for step in steps if step < 0)
+    return Chain(sum(skip for skip, _ in arcs) - base, base, steps, sum(map(abs, steps)))
 
 
 def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile | Chain:
-    # Dense while the slots, one a moment from the least path time to the
-    # latest, are few next to the 2^stages paths, else the chain is kept as
-    # it is and its reader enumerates every path time, one entry per path.
-    # Past 22 stages, too many paths to enumerate, every chain whose slots
-    # fit runs dense.
+    # Dense while the slots, one a moment over the span, are few next to the
+    # 2^stages paths, else the chain is kept as it is and its reader
+    # enumerates every path time, one entry per path. Past 22 stages, too
+    # many paths to enumerate, every chain whose slots fit runs dense.
     chain = _chain(arcs)
     stages = len(chain.steps)
-    slots = sum(map(abs, chain.steps)) + 1
+    slots = chain.span + 1
     if slots <= MAX_PROFILE_ENTRIES and DENSE_PATHS_PER_SLOT * slots <= 1 << stages:
         additions = stages * slots * -(-stages // 64)
         if additions > MAX_DENSE_WORD_ADDITIONS:
@@ -284,7 +286,7 @@ def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile | Chain:
                 f"a dense chain of {stages} stages over {slots} slots takes "
                 f"{additions} word additions, past the cap of {MAX_DENSE_WORD_ADDITIONS}"
             )
-        return _propagate_dense(chain.base, chain.steps, slots)
+        return _propagate_dense(chain.least, chain.steps, slots)
     _check_paths(stages)
     return chain
 
@@ -321,43 +323,37 @@ class SplitProfile:
         return list(self._entries)
 
     def count_at(self, time: int) -> int:
-        """Rays arriving exactly at `time` (below 2^63), summed over the pairs that meet there.
+        """Rays arriving exactly at `time`, summed over the pairs that meet there.
 
-        Both halves go into one buffer, tagged by parity: each left time l as
-        the key 2(time - l) and each right time r as 2r + 1, and the buffer is
-        sorted once. An enumerated half writes its tagged paths straight into
-        the buffer, the tag folded into its chain's base and steps (both
-        halves as one two-row batch when they have as many stages), and a
-        dense half is tagged from its times. A left time and a right time
-        meet when r = time - l, and then the run of the key 2r is directly
-        followed by the run of 2r + 1, since no value lies between: two
-        neighbours that differ in the tag bit alone. Only those few meets are
-        looked up. An entry stands for as many paths as its run is long in an
-        enumerated half, and for its count, found by searchsorted, in a dense
-        one; the products are taken in the count dtype of the whole device.
-        The same runs give each half's distinct times for `half_entries`: its
-        entries less those equal to the entry before them.
-
-        The buffer is int32 when 2 max(time, both halves' latest times) + 1 is
-        below 2^31, so that no value wraps, and int64 otherwise. A key wraps
-        there only when time - l reaches 2^62, past the latest sum l + r of a
-        layout, where no pair meets: read modulo 2^64, keys of distinct left
-        times stay distinct, since left times span less than 2^62, and none
-        equals a right time less one, since time - l - r lies in (0, 2^63).
+        The moment M is read from both halves' `least`, where their times
+        start, and held to [-1, span + 1] for span the sum of their spans: no
+        pair meets outside [0, span]. Both halves go into one buffer, tagged
+        by parity: each left time l as the key 2(M - l) and each right time r
+        as 2r + 1, and the buffer is sorted once. An enumerated half writes
+        its tagged paths straight into the buffer, the tag folded into its
+        chain's base and steps (both halves as one two-row batch when they
+        have as many stages), and a dense half is tagged from its times. A
+        left time and a right time meet when r = M - l, and then the run of
+        the key 2r is directly followed by the run of 2r + 1, since no value
+        lies between: two neighbours that differ in the tag bit alone. Only
+        those few meets are looked up. An entry stands for as many paths as
+        its run is long in an enumerated half, and for its count, found by
+        searchsorted, in a dense one; the products are taken in the count
+        dtype of the whole device. The same runs give each half's distinct
+        times for `half_entries`: its entries less those equal to the entry
+        before them. Every value written lies within 2 span + 2, so the buffer
+        is int32 while that is below 2^31 and int64 otherwise.
         """
         left, right = self.left, self.right
-        moment = max(time, -1)  # no ray arrives before 0
-        dtype = _time_dtype(2 * max(moment, _latest(left), _latest(right)) + 1)
+        span = left.span + right.span
+        moment = min(max(time - left.least - right.least, -1), span + 1)
+        dtype = _time_dtype(2 * span + 2)
         split = len(left)
         tagged = np.empty(split + len(right), dtype=dtype)
         key_part, time_part = tagged[:split], tagged[split:]
         rows = []  # (tagged base, tagged steps, buffer part) of each chain
         if isinstance(left, Chain):
-            # 2(moment - base) is below 2^64; in int64 it is taken modulo
-            # 2^64, as every key past it is
-            base = 2 * (moment - left.base)
-            rows.append((base - (1 << 64) if base >= 1 << 63 else base,
-                         [-2 * step for step in left.steps], key_part))
+            rows.append((2 * (moment - left.base), [-2 * step for step in left.steps], key_part))
         else:
             np.subtract(moment, left.times, out=key_part, dtype=dtype, casting="unsafe")
             key_part <<= 1
@@ -401,11 +397,6 @@ class SplitProfile:
         # multiply in the dtype of the whole device.
         count = _count_dtype(self.stage_index)
         return int((paths_left.astype(count) * paths_right.astype(count)).sum())
-
-
-def _latest(half: ArrivalProfile | Chain) -> int:
-    """A half's latest arrival time."""
-    return half.top if isinstance(half, Chain) else int(half.times[-1])
 
 
 def _arcs(layout: DeviceLayout) -> list[tuple[int, int]]:
@@ -453,19 +444,19 @@ def _pairs_within(arcs: np.ndarray, cut: int, lo: int, hi: int,
     trial's keys lo - l, as 2(lo - l), and then its right times, as 2r + 1.
     The tags are folded into each half's base and steps, so the enumeration
     writes tagged values: straight into `tagged` for a half read whole, and
-    into that half's buffer in `whole`, of 2^stages columns, for one that
-    keeps some paths. After one sort of each row, a key sorts before every
-    right time at or above it and after every one below it. A pair hits when
-    r - (lo - l) <= hi - lo, and the right time of least gap above its key
-    directly follows a key: a row hits when some key is directly followed by
-    a right time within 2(hi - lo) + 1.
+    into that half's buffer in `whole`, of 2^stages columns and at least as
+    many rows as `tagged`, for one that keeps some paths. After one sort of
+    each row, a key sorts before every right time at or above it and after
+    every one below it. A pair hits when r - (lo - l) <= hi - lo, and the
+    right time of least gap above its key directly follows a key: a row hits
+    when some key is directly followed by a right time within 2(hi - lo) + 1.
 
-    In the trials times are non-negative, and lo is negative only when no
-    chain has a stage and every time is 0; so the tagged values, those the
-    enumeration passes through included, and each gap from a key up to a
-    right time lie within 2 max(l + r, hi) + 1, which the trials keep below
-    2^62, and below 2^31 when `tagged` is int32. A gap that wraps is one from
-    a right time or to a key, which is never read.
+    The trials' arcs are non-negative, so every time is too, and the tagged
+    values, those the enumeration passes through included, and each gap from
+    a key up to a right time lie within 2 max(L, hi, L - lo) + 1 for L the
+    longest path, which the trials keep below 2^62, and below 2^31 when
+    `tagged` is int32. A gap that passes the dtype is between two keys, two
+    right times or from a right time to a key, and is never read.
     """
     doubled = 2 * arcs
     skips = doubled[..., 0]
@@ -479,7 +470,7 @@ def _pairs_within(arcs: np.ndarray, cut: int, lo: int, hi: int,
         if kept is None:
             _path_times(base, step, part)
         else:
-            np.take(_path_times(base, step, buffer), kept, axis=1, out=part)
+            np.take(_path_times(base, step, buffer[: len(part)]), kept, axis=1, out=part)
         start += width
     tagged.sort(axis=1)
     odd = np.empty(tagged.shape, dtype=bool)
@@ -539,7 +530,8 @@ def propagate(layout: DeviceLayout) -> ArrivalProfile:
     sum(a_i) + n*k.
     """
     profile = _propagate_chain(_arcs(layout))
-    return profile.counted() if isinstance(profile, Chain) else profile
+    profile = profile.counted() if isinstance(profile, Chain) else profile
+    return replace(profile, least=0, times=profile.times + profile.least)
 
 
 def propagate_halves(layout: DeviceLayout) -> SplitProfile:
@@ -618,7 +610,7 @@ class EpsilonDemoReport:
 
 
 def epsilon_false_positive_demo(
-    instance: Instance, epsilon: int, params: PhysicalParams | None = None
+    instance: Instance, epsilon: int, params: PhysicalParams = PhysicalParams()
 ) -> EpsilonDemoReport:
     """Show why skip arcs need the uniform offset k instead of a tiny epsilon.
 
@@ -626,8 +618,6 @@ def epsilon_false_positive_demo(
     the form subset + m*epsilon can masquerade as a hit; the offset device is
     read at B + n*k. Both are compared against a classical oracle.
     """
-    if params is None:
-        params = PhysicalParams()
     eps_halves = propagate_halves(compile_epsilon_layout(instance, epsilon))
     offset_report = detect(propagate_halves(compile_layout(instance, params)), instance, params)
     oracle = solve_auto(instance)
@@ -675,6 +665,9 @@ def perturb_and_classify(
     `random.Random(rng_seed).randint` draws them, trial by trial, stage by
     stage, skip arc before take arc, whatever the chunk size.
 
+    A trial measures each stage's arcs from its shorter exact arc less the
+    largest error, so its times are non-negative and are read, as the exact
+    halves are, from the earliest exact path: the offset k enters no bound.
     A perturbed path lies within n * error of its exact time. So the run
     first propagates the exact halves (`propagate_halves`) and reads their
     times against each other: every trial detects when some pair lies within
@@ -692,12 +685,13 @@ def perturb_and_classify(
     candidates alone.
 
     A half past the path cap that detection checks raises ResourceLimit
-    before the first trial, as does a longest perturbed path or a window top
-    that could reach MAX_DELAY_QUANTA in grid units, where int64 times would
-    overflow. After the pre-pass, so does a run whose trials, each charged
-    PERTURB_TRIAL_ARRIVALS plus its 2^ceil(n/2) arrivals per half when the
-    trials enumerate and its 2n drawn errors when the exact halves decide
-    them, pass MAX_PERTURB_ARRIVALS.
+    before the first trial, as does a longest perturbed path or a window
+    edge that could lie MAX_DELAY_QUANTA grid units from where the trials'
+    times start, where int64 times would overflow. After the pre-pass, so
+    does a run whose trials, each charged PERTURB_TRIAL_ARRIVALS plus both
+    halves' 2^floor(n/2) + 2^ceil(n/2) arrivals when the trials enumerate and
+    its 2n drawn errors when the exact halves decide them, pass
+    MAX_PERTURB_ARRIVALS.
     """
     max_error = to_fraction(max_error_m)
     if max_error < 0:
@@ -705,7 +699,7 @@ def perturb_and_classify(
     if trials < 1:
         raise InvalidValue("trials must be >= 1")
     n = len(layout.stages)
-    half = (n + 1) // 2
+    cut, half = n // 2, (n + 1) // 2
 
     # Everything below is integer arithmetic in grid units of quantum/1e6.
     err_span = int(max_error * PERTURB_GRID / params.quantum_length_m)
@@ -713,10 +707,16 @@ def perturb_and_classify(
         raise InvalidValue(
             f"max_error_m is finer than the perturbation grid of quantum_length/{PERTURB_GRID}"
         )
-    target_g = (instance.target + n * params.offset_k_quanta) * PERTURB_GRID
+    # The moment in quanta from the earliest exact path, where the exact
+    # halves' times start, and the window in the trials' grid times, which
+    # start n * err_span below it. Both are read before anything propagates.
+    exact = _arcs(layout)
+    moment = instance.target + n * params.offset_k_quanta - sum(map(min, exact))
     window_g = PERTURB_GRID // 2
-    top_g = sum(max(s.skip_delay, s.take_delay) for s in layout.stages) * PERTURB_GRID
-    if max(top_g + n * err_span, target_g + window_g) >= MAX_DELAY_QUANTA:
+    target_g = moment * PERTURB_GRID + n * err_span
+    top_g = sum(abs(take - skip) for skip, take in exact) * PERTURB_GRID + 2 * n * err_span
+    bound = max(top_g, target_g + window_g, top_g - target_g + window_g)
+    if bound >= MAX_DELAY_QUANTA:
         raise ResourceLimit(
             f"perturbed arrival times could reach {MAX_DELAY_QUANTA} grid units "
             f"(quantum/{PERTURB_GRID})"
@@ -728,15 +728,11 @@ def perturb_and_classify(
     # lands there in every trial when |S - moment| <= sure (none if negative).
     # The pre-pass reads counted profiles: an enumerated half writes its
     # path times, sorts and counts them.
-    moment = instance.target + n * params.offset_k_quanta
     near = (window_g + n * err_span) // PERTURB_GRID
     sure = (window_g - n * err_span) // PERTURB_GRID
     halves = propagate_halves(layout)
     left, right = (h.counted() if isinstance(h, Chain) else h for h in (halves.left, halves.right))
-    always = sure >= 0 and bool(_partnered(left.times, right.times, moment - sure,
-                                           moment + sure).any())
-    cut = n // 2
-    exact = _arcs(layout)
+    always = sure >= 0 and _partnered(left.times, right.times, moment - sure, moment + sure).any()
     candidates = None
     if not always:
         near_left = _partnered(left.times, right.times, moment - near, moment + near)
@@ -746,10 +742,14 @@ def perturb_and_classify(
                           _candidates(right, near_right, exact[cut:]))
 
     # A trial the exact halves decide draws its errors and enumerates nothing.
+    # A chunk holds about PERTURB_CHUNK_ARRIVALS arrivals a half or, when the
+    # exact halves decide its trials, a quarter as many drawn errors (none at
+    # n = 0): each draw passes through several int64 arrays of the chunk, and
+    # such chunks ran fastest at about 2^14 draws (2-vCPU VM).
     if candidates is None:
-        charge, what = 2 * n, f"{2 * n} drawn errors"
+        charge, size, what = 2 * n, 8 * n, f"{2 * n} drawn errors"
     else:
-        charge, what = 2**half, f"2^{half} arrivals per half"
+        charge, size, what = 2**cut + 2**half, 2**half, f"2^{cut} + 2^{half} arrivals"
     if trials * (charge + PERTURB_TRIAL_ARRIVALS) > MAX_PERTURB_ARRIVALS:
         raise ResourceLimit(
             f"{trials} trials of {what}, plus {PERTURB_TRIAL_ARRIVALS} per trial, exceed "
@@ -757,33 +757,31 @@ def perturb_and_classify(
         )
     oracle_yes = solve_auto(instance).verdict is Verdict.YES
 
-    exact_g = np.array(exact, dtype=np.int64).reshape(n, 2) * PERTURB_GRID
-    # A chunk holds about PERTURB_CHUNK_ARRIVALS arrivals a half or, when the
-    # exact halves decide its trials, a quarter as many drawn errors (none at
-    # n = 0): each draw passes through several int64 arrays of the chunk, and
-    # such chunks ran fastest at about 2^14 draws (2-vCPU VM).
-    per_chunk = PERTURB_CHUNK_ARRIVALS if candidates is not None else PERTURB_CHUNK_ARRIVALS // 4
-    chunk = min(trials, max(1, per_chunk // max(charge, 1)))
+    # An error cuts a cable non-positive when it reaches the cable's length,
+    # which no error does past err_span // PERTURB_GRID quanta: the lengths
+    # are capped there, so no offset is scaled to the grid.
+    exact_q = np.array(exact, dtype=np.int64).reshape(n, 2)
+    floor_g = np.minimum(exact_q, err_span // PERTURB_GRID + 1) * -PERTURB_GRID
+    chunk = min(trials, max(1, PERTURB_CHUNK_ARRIVALS // max(size, 1)))
     if candidates is not None:
-        # The buffers serve every chunk: fresh ones each chunk fault in new
-        # pages on every call. Every value _pairs_within forms lies within
-        # twice the larger of the longest perturbed path and the window top,
+        # Each arc from its stage's shorter arc less err_span. The buffers
+        # serve every chunk: fresh ones each chunk fault in new pages on every
+        # call. Every value _pairs_within forms lies within twice the bound,
         # plus one, which picks their width.
-        dtype = _time_dtype(2 * max(top_g + n * err_span, target_g + window_g) + 1)
-        stages = (cut, n - cut)
+        arcs_g = (exact_q - exact_q.min(axis=1, keepdims=True)) * PERTURB_GRID + err_span
+        dtype = _time_dtype(2 * bound + 1)
+        stages = (cut, half)
         width = sum(1 << s if keep is None else len(keep) for s, keep in zip(stages, candidates))
         tagged = np.empty((chunk, width), dtype=dtype)
         whole = tuple(None if keep is None else np.empty((chunk, 1 << s), dtype=dtype)
                       for s, keep in zip(stages, candidates))
     draw = _uniform_draws(random.Random(rng_seed), err_span)
-    detected = 0
-    max_err_g = 0
+    detected = max_err_g = 0
     for done in range(0, trials, chunk):
         c = min(chunk, trials - done)
         # Drawn in the order trial, stage, skip before take.
         errors = draw(2 * n * c).reshape(c, n, 2)
-        arcs = exact_g + errors
-        if (arcs <= 0).any():
+        if (errors <= floor_g).any():
             raise InvalidPerturbation(
                 "a sampled length error made a cable non-positive; reduce max_error_m"
             )
@@ -794,8 +792,8 @@ def perturb_and_classify(
         if always:
             detected += c
         elif candidates is not None:
-            hits = _pairs_within(arcs, cut, target_g - window_g, target_g + window_g, candidates,
-                                 tagged[:c], tuple(w if w is None else w[:c] for w in whole))
+            hits = _pairs_within(arcs_g + errors, cut, target_g - window_g, target_g + window_g,
+                                 candidates, tagged[:c], whole)
             detected += int(hits.sum())
 
     # Every trial of a YES instance that detects nothing is a false negative,

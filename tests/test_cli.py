@@ -636,6 +636,34 @@ def test_perturb_trials_the_exact_halves_decide_are_charged_their_draws(tmp_path
     assert (report["trials"], report["misclassified"]) == (300000, 0)
 
 
+@pytest.mark.parametrize("error", ["0.00001", "0.00012", "0.00029"])
+def test_perturb_reports_do_not_depend_on_the_offset(tmp_path, capsys, error):
+    # every path and the moment carry the same n * k, so k moves no drift and
+    # no verdict: {1, 2, 3} -> 5 cut within 1/30, 0.4 and 0.97 quantum reads
+    # byte for byte the same report at k = 1, 10^6 and 2 * 10^12, where n * k
+    # in grid units passes 2^62
+    f = write_instance(tmp_path, {"set": [1, 2, 3], "target": 5})
+    reports = []
+    for k in (1, 10**6, 2 * 10**12):
+        code = cli.main(["perturb", f, "--k", str(k), "--max-error-m", error,
+                         "--trials", "1000", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        reports.append(captured.out)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_solve_answers_a_target_past_the_sum_before_any_oracle_cap(tmp_path, capsys):
+    # 46 unit values pass meet-in-the-middle's cap and a target of 2e8 the
+    # DP's table budget; the oracle answers NO before either cap, as the
+    # device does
+    f = write_instance(tmp_path, {"set": [1] * 46, "target": 200000000})
+    code, report, err = run(capsys, ["solve", f])
+    assert (code, err) == (1, "")
+    assert report["agreement"] is True
+    assert report["oracle"] == {"solver_name": "mitm", "verdict": "NO"}
+
+
 @pytest.mark.parametrize("doc,entries", [
     # 12 values of 10^6: each half's 64 paths arrive at 7 distinct times
     ({"set": [10**6] * 12, "target": 3 * 10**6}, [7, 7]),
@@ -651,8 +679,9 @@ def test_half_entries_count_distinct_times_of_repeated_paths(tmp_path, capsys, d
 
 
 def test_a_moment_past_2_62_reads_no_ray(tmp_path, capsys):
-    # k = 2^61 puts the moment at 2^62 - 1 + 2^61, where the keys 2(M - t)
-    # pass 2^63; the one-stage half keeps both of its times
+    # k = 2^61 puts the moment at 2^62 - 1 + 2^61, reported as it is; read
+    # from the halves' earliest paths it lies past both spans, and the
+    # one-stage half keeps both of its times
     f = write_instance(tmp_path, {"set": [1], "target": 2**62 - 1})
     code, report, _ = run(capsys, ["solve", f, "--k", str(2**61)])
     assert code == 1

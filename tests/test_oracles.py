@@ -34,9 +34,20 @@ def test_dp_empty_set_zero_target_is_yes():
 
 
 def test_dp_target_budget(monkeypatch):
+    # a target that the values can reach, so the DP must size its table
     monkeypatch.setattr(oracles, "DP_MAX_TABLE_BITS", 10**6)
     with pytest.raises(ls.ResourceLimit):
-        ls.solve_dp(ls.Instance.from_values([1], 10**6))
+        ls.solve_dp(ls.Instance.from_values([1, 10**6], 10**6))
+
+
+@pytest.mark.parametrize("solver", [ls.solve_dp, ls.solve_bruteforce, ls.solve_mitm,
+                                    ls.solve_auto])
+def test_a_target_past_the_sum_is_no_before_any_cap(solver):
+    # 46 unit values pass the brute-force and meet-in-the-middle caps, and a
+    # target of 2e8 the DP's table budget: each solver answers NO at once,
+    # there and one past the sum
+    for target in (47, 2 * 10**8):
+        assert solver(ls.Instance.from_values([1] * 46, target)).verdict is ls.Verdict.NO
 
 
 def enumerated_sums(values):
@@ -223,12 +234,15 @@ def test_auto_pick_changes_at_the_fitted_bound(n):
 
 def test_auto_runs_the_dp_past_the_mitm_cap():
     # at n = 45 the bound is 2^26, and meet-in-the-middle is past its cap:
-    # the DP runs while its table fits, and past it no solver can
+    # the DP runs while its table fits, and past it no solver can, unless the
+    # target passes the sum of the values
     target = 1 << 26
     result = ls.solve_auto(ls.Instance.from_values([1] * 44 + [target - 44], target))
     assert (result.solver_name, result.verdict) == ("dp", ls.Verdict.YES)
     with pytest.raises(ls.ResourceLimit, match="no exact solver"):
-        ls.solve_auto(ls.Instance.from_values([1] * 45, oracles.DP_MAX_TABLE_BITS))
+        ls.solve_auto(ls.Instance.from_values([1] * 45 + [2 * 10**8], 10**8 + 5))
+    past = ls.solve_auto(ls.Instance.from_values([1] * 46, 2 * 10**8))
+    assert (past.solver_name, past.verdict) == ("mitm", ls.Verdict.NO)
 
 
 def test_auto_picks_mitm_on_twenty_five_values_to_a_million():

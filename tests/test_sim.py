@@ -17,7 +17,7 @@ import lightsum as ls
 from lightsum import sim
 from lightsum.rational import fraction_str
 
-from helpers import perturbation_outcome, subset_sums
+from helpers import cut_outcome, has_subset_sum, perturbation_outcome, subset_sums
 
 P = ls.PhysicalParams()
 
@@ -140,71 +140,80 @@ def test_raising_k_moves_a_dense_profile_by_n_dk(dk):
 
 
 def test_enumerated_times_are_exact_on_both_sides_of_the_int32_sort():
-    # longest paths of 2^31 - 1 and 2^31 quanta: the first chain is sorted
-    # as int32, the second as int64, and both profiles come back as int64
-    for top in (2**31 - 1, 2**31):
-        a = 10**9
-        inst = ls.Instance.from_values([a, top - a - 2], 0)
-        profile = ls.propagate(ls.compile_layout(inst, P))
-        assert profile.times.dtype == np.int64
-        assert dict(profile.items()) == {2: 1, a + 2: 1, top - a: 1, top: 1}
+    # chains that span 2^31 - 1 and 2^31 quanta: the first is sorted as
+    # int32, the second as int64, and both profiles come back absolute, as
+    # int64, whatever the offset
+    a = 10**9
+    for span in (2**31 - 1, 2**31):
+        for k in (1, 2**40):
+            inst = ls.Instance.from_values([a, span - a], 0)
+            profile = ls.propagate(ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=k)))
+            assert profile.times.dtype == np.int64
+            assert dict(profile.items()) == {2 * k: 1, a + 2 * k: 1, span - a + 2 * k: 1,
+                                             span + 2 * k: 1}
 
 
 @pytest.mark.parametrize("epsilon", [False, True], ids=["offset", "epsilon"])
-@pytest.mark.parametrize("horizon", [2**31 - 1, 2**31])
+@pytest.mark.parametrize("span", [2**31 - 1, 2**31])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_half_times_match_the_int64_enumerator_on_both_sides_of_2_31(epsilon, horizon, side):
-    # one half of 5 stages has a longest path of 2^31 - 1 quanta, enumerated
-    # into int32, or of 2^31, enumerated into int64; the epsilon device's
-    # skip arcs of 9 quanta outrun its values below 9, so some steps go down
+def test_half_times_match_the_int64_enumerator_on_both_sides_of_2_31(epsilon, span, side):
+    # one half of 5 stages spans 2^31 - 1 quanta, enumerated into int32, or
+    # 2^31, enumerated into int64, from its earliest path; the epsilon
+    # device's skip arcs of 9 quanta outrun its values below 9, so some steps
+    # go down, and a large offset k moves the earliest path alone
     small = [1, 2, 3, 5, 8]
 
     def half_arcs(long):
         values = [long, *small[1:], *small] if side == "left" else [*small, long, *small[1:]]
         inst = ls.Instance.from_values(values, 0)
-        layout = ls.compile_epsilon_layout(inst, 9) if epsilon else ls.compile_layout(inst, P)
+        layout = (ls.compile_epsilon_layout(inst, 9) if epsilon
+                  else ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=2**40)))
         arcs = sim._arcs(layout)
         return layout, (arcs[:5] if side == "left" else arcs[5:])
 
-    # the long value, past the skip arcs, is set so that its half's horizon
-    # lands on `horizon`
-    low = sum(max(arc) for arc in half_arcs(100)[1])
-    layout, arcs = half_arcs(horizon - low + 100)
-    assert sum(max(arc) for arc in arcs) == horizon
-    # the half is kept as its chain, and enumerates one entry per path, in
-    # subset order
-    base = sum(skip for skip, _ in arcs)
+    # the long value, past the skip arcs, is set so that its half's span
+    # lands on `span`
+    low = sum(abs(take - skip) for skip, take in half_arcs(100)[1])
+    layout, arcs = half_arcs(span - low + 100)
     steps = [take - skip for skip, take in arcs]
-    times = sim._path_times(np.array([base]), np.array([steps]), np.empty((1, 32), np.int64))
+    assert sum(map(abs, steps)) == span
+    # the half is kept as its chain, and enumerates one entry per path, in
+    # subset order, each its time less the earliest
+    least = sum(map(min, arcs))
+    times = sim._path_times(np.array([sum(skip for skip, _ in arcs)]), np.array([steps]),
+                            np.empty((1, 32), np.int64))
     half = getattr(ls.propagate_halves(layout), side)
     assert isinstance(half, sim.Chain)
-    assert half.top == horizon
+    assert (half.least, half.span) == (least, span)
     paths = half.path_times()
-    assert paths.dtype == (np.int32 if horizon < 2**31 else np.int64)
-    assert paths.tolist() == times[0].tolist()
-    expected = {base + s: c for s, c in subset_sums([take - skip for skip, take in arcs]).items()}
-    assert dict(half.counted().items()) == expected
+    assert paths.dtype == (np.int32 if span < 2**31 else np.int64)
+    assert paths.tolist() == (times[0] - least).tolist()
+    expected = {sum(skip for skip, _ in arcs) + s: c for s, c in subset_sums(steps).items()}
+    counted = half.counted()
+    assert {counted.least + t: c for t, c in counted.items()} == expected
 
 
 def latest_path(halves):
-    """The latest path time of either half, both kept as chains, as they enumerate it."""
+    """The latest path value of either half, both kept as chains, as they
+    enumerate it from their earliest path; each half's is its span."""
     assert isinstance(halves.left, sim.Chain) and isinstance(halves.right, sim.Chain)
-    return max(int(half.path_times().max()) for half in (halves.left, halves.right))
+    latest = [int(half.path_times().max()) for half in (halves.left, halves.right)]
+    assert latest == [halves.left.span, halves.right.span]
+    return max(latest)
 
 
-@pytest.mark.parametrize("gap", [7, 3, 2], ids=["near", "below", "at"])
+@pytest.mark.parametrize("gap", [5, 1, 0], ids=["near", "below", "at"])
 @pytest.mark.parametrize("order", ["long-left", "long-right"])
 def test_count_at_matches_subset_sums_on_both_sides_of_2_31(gap, order):
-    # two values near 2^30 make a half whose longest path ends 2^31 - 5,
-    # 2^31 - 1 or 2^31 quanta from the source; the moments run across 2^31,
-    # where the four sums with both long values land (at 2^31 - 3 to 2^31
-    # when the gap is 7), and from 0, where every key time - t of the long
-    # half is negative
+    # two values near 2^30 make a half that spans 2^31 - 5, 2^31 - 1 or 2^31
+    # quanta, enumerated into int32, int32 and int64; the moments run across
+    # 2^31, where the four sums with both long values land, and from 0, where
+    # every key M - t of the long half is negative
     long, short = [2**30, 2**30 - gap], [1, 2]
     values = long + short if order == "long-left" else short + long
     inst = ls.Instance.from_values(values, 0)
     halves = ls.propagate_halves(ls.compile_layout(inst, P))
-    assert latest_path(halves) == 2**31 + 2 - gap
+    assert latest_path(halves) == 2**31 - gap
     sums = subset_sums(values)
     hits = 0
     for moment in [*range(0, 12), *range(2**31 - 12, 2**31 + 12)]:
@@ -214,18 +223,20 @@ def test_count_at_matches_subset_sums_on_both_sides_of_2_31(gap, order):
     assert hits == 4
 
 
-@pytest.mark.parametrize("longest", [2**30 - 1, 2**30], ids=["below", "at"])
+@pytest.mark.parametrize("span", [2**30 - 2, 2**30 - 1], ids=["below", "at"])
 @pytest.mark.parametrize("order", ["long-left", "long-right"])
-def test_count_at_reads_the_tagged_halves_on_both_sides_of_2_30(longest, order):
-    # count_at tags the keys as 2(M - l) and the right times as 2r + 1, in
-    # int32 while 2 max(M, l, r) + 1 is below 2^31: a half whose latest time
-    # is 2^30 - 1 or 2^30, read at moments from 0, where every key of the
-    # long half is negative, and across 2^29, 2^30 and 2^31
-    long = [2**29, longest - 2 - 2**29]
+def test_count_at_reads_the_tagged_halves_on_both_sides_of_2_30(span, order):
+    # count_at tags the keys as 2(M - l) and the right times as 2r + 1, all
+    # from the halves' earliest paths, in int32 while twice the two spans,
+    # plus two, is below 2^31: halves that span 2^30 - 2 or 2^30 - 1 quanta
+    # together, read at moments from 0, where every key of the long half is
+    # negative, and across 2^29, 2^30 and 2^31
+    long = [2**29, span - 3 - 2**29]
     values = long + [1, 2] if order == "long-left" else [1, 2] + long
     inst = ls.Instance.from_values(values, 0)
     halves = ls.propagate_halves(ls.compile_layout(inst, P))
-    assert latest_path(halves) == longest
+    assert latest_path(halves) == span - 3
+    assert halves.left.span + halves.right.span == span
     sums = subset_sums(values)
     hits = 0
     for moment in [*range(0, 12), *range(2**29 - 4, 2**29 + 8), *range(2**30 - 8, 2**30 + 8),
@@ -244,25 +255,27 @@ def test_count_at_reads_the_tagged_halves_on_both_sides_of_2_30(longest, order):
 @pytest.mark.parametrize("order", ["long-left", "long-right"])
 def test_count_at_reads_unequal_halves_across_2_30_and_2_31(order):
     # n = 5: halves of 2 and 3 stages, both kept as chains, each enumerated
-    # into the tagged buffer on its own. Either half's latest path is below
-    # 2^30, and the sums with both long values lie from 2^30 - 9 to 2^30 - 2,
-    # so their moments straddle 2^30, where the buffer goes from int32 to
-    # int64; past 2^31 nothing arrives
-    long, short = [2**29, 2**29 - 9], [1, 2, 4]
-    values = long + short if order == "long-left" else short[:2] + long + short[2:]
-    inst = ls.Instance.from_values(values, 0)
-    halves = ls.propagate_halves(ls.compile_layout(inst, P))
-    assert (halves.left.stage_index, halves.right.stage_index) == (2, 3)
-    assert latest_path(halves) == (2**30 - 7 if order == "long-left" else 2**30 - 2)
-    sums = subset_sums(values)
-    hits = 0
-    for moment in [*range(0, 14), *range(2**29 - 4, 2**29 + 14), *range(2**30 - 12, 2**30 + 12),
-                   *range(2**31 - 6, 2**31 + 6)]:
-        count = halves.count_at(moment)
-        assert count == sums.get(moment - 5, 0), (values, moment)
-        hits += moment >= 2**30 - 12 and count
-    assert hits == 8
-    assert halves.half_entries == [4, 8]
+    # into the tagged buffer on its own. The sums with both long values lie
+    # from 2^30 - 9 + t to 2^30 - 2 + t, and the halves span 2^30 - 2 + t
+    # quanta together: int32 at t = 0 and int64 at t = 1. The moments
+    # straddle 2^30; past 2^31 nothing arrives
+    for t in (0, 1):
+        long, short = [2**29, 2**29 - 9 + t], [1, 2, 4]
+        values = long + short if order == "long-left" else short[:2] + long + short[2:]
+        inst = ls.Instance.from_values(values, 0)
+        halves = ls.propagate_halves(ls.compile_layout(inst, P))
+        assert (halves.left.stage_index, halves.right.stage_index) == (2, 3)
+        assert latest_path(halves) == (2**30 - 9 if order == "long-left" else 2**30 - 5) + t
+        assert halves.left.span + halves.right.span == 2**30 - 2 + t
+        sums = subset_sums(values)
+        hits = 0
+        for moment in [*range(0, 14), *range(2**29 - 4, 2**29 + 14),
+                       *range(2**30 - 12, 2**30 + 12), *range(2**31 - 6, 2**31 + 6)]:
+            count = halves.count_at(moment)
+            assert count == sums.get(moment - 5, 0), (values, moment)
+            hits += moment >= 2**30 - 12 and count
+        assert hits == 8
+        assert halves.half_entries == [4, 8]
 
 
 def test_sparse_path_handles_values_too_long_to_pack():
@@ -305,40 +318,54 @@ def halves_of(layout, per_slot, monkeypatch):
                          ids=["dense", "enumerated", "mixed", "mixed-enumerated-left"])
 def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, per_slot, monkeypatch):
     # n = 0..9 cuts the chain into halves of equal and of unequal length; a
-    # dense half has distinct times, an enumerated one repeats them
+    # dense half has distinct times, an enumerated one repeats them. The
+    # offset k runs to 2^40, and once n * k is near 2^61; epsilon, which
+    # widens the chain, runs to 3. Every moment is read from two before the
+    # earliest path to two after the latest, which is n * k - 2 to
+    # n * k + sum + 2 on the offset device
     rng = random.Random(5)
     for n in range(10):
         for _ in range(3):
             inst = ls.Instance.from_values([rng.randint(1, 12) for _ in range(n)], 0)
+            k = rng.choice([1, 2, 3, rng.randint(4, 2**40)])
+            if n == 7:
+                k = (2**61 - rng.randint(0, 2**20)) // n
             if epsilon:
-                layout = ls.compile_epsilon_layout(inst, rng.randint(1, 3))
+                layout = ls.compile_epsilon_layout(inst, k % 3 + 1)
             else:
-                layout = ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=rng.randint(1, 3)))
+                layout = ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=k))
             split = halves_of(layout, per_slot, monkeypatch)
             whole = dict(ls.propagate(layout).items())
             assert (split.left.stage_index, split.right.stage_index) == (n // 2, n - n // 2)
             kinds = [isinstance(half, sim.Chain) for half in (split.left, split.right)]
             assert kinds == [value > 0 for value in per_slot]
-            horizon = sum(s.take_delay for s in layout.stages)
-            for t in range(horizon + 2):
+            arcs = sim._arcs(layout)
+            least, span = sum(map(min, arcs)), sum(abs(take - skip) for skip, take in arcs)
+            assert split.left.least + split.right.least == least
+            assert split.left.span + split.right.span == span
+            if not epsilon:
+                assert (least, span) == (n * k, sum(inst.values))
+            for t in range(least - 2, least + span + 3):
                 assert split.count_at(t) == whole.get(t, 0), (layout, t)
             assert split.half_entries == [
                 len(set((h.path_times() if isinstance(h, sim.Chain) else h.times).tolist()))
                 for h in (split.left, split.right)]
             # the window reader of the perturbation trials, on a batch of two
-            # copies of the chain, each half read whole or through the index
-            # of every one of its paths, in int32 or int64
-            arcs = np.array([sim._arcs(layout)] * 2, dtype=np.int64).reshape(2, n, 2)
+            # copies of the chain, each stage's arcs measured from its shorter
+            # one, as the trials measure them, each half read whole or through
+            # the index of every one of its paths, in int32 or int64
+            relative = np.array([[arc - min(pair) for arc in pair] for pair in arcs] * 2,
+                                dtype=np.int64).reshape(2, n, 2)
             stages = (n // 2, n - n // 2)
             keep = tuple(rng.choice([None, np.arange(1 << s)]) for s in stages)
             dtype = rng.choice([np.int32, np.int64])
-            whole_paths = tuple(None if k is None else np.empty((2, 1 << s), dtype)
-                                for s, k in zip(stages, keep))
+            whole_paths = tuple(None if kept is None else np.empty((2, 1 << s), dtype)
+                                for s, kept in zip(stages, keep))
             tagged = np.empty((2, sum(1 << s for s in stages)), dtype)
-            for lo in range(-2, horizon + 2, 3):
+            for lo in range(-2, span + 2, 3):
                 hi = lo + rng.randint(0, 2)
-                expected = any(t in whole for t in range(lo, hi + 1))
-                hits = sim._pairs_within(arcs, n // 2, lo, hi, keep, tagged, whole_paths)
+                expected = any(least + t in whole for t in range(lo, hi + 1))
+                hits = sim._pairs_within(relative, n // 2, lo, hi, keep, tagged, whole_paths)
                 assert hits.tolist() == [expected, expected], (layout, lo, hi)
 
 
@@ -363,6 +390,29 @@ def test_path_times_follow_subset_order(chains):
                                     wide[:, 2 : 2 + (1 << stages)])
             assert not wide[:, :2].any() and not wide[:, -1].any()
         assert times.tolist() == expected
+
+
+def test_solve_reads_the_same_halves_at_any_offset():
+    # 26 values to 5e4 make enumerated halves of 13 stages. k = 2 * 10^8
+    # puts n * k past 2^32, yet the halves' path values, read from their
+    # earliest paths, stay int32, and the count at the moment, each half's
+    # distinct times and the verdict are those of k = 1
+    rng = random.Random(26)
+    values = [rng.randint(1, 5 * 10**4) for _ in range(26)]
+    for target, verdict in ((sum(values[::2]), ls.Verdict.YES), (sum(values) + 1, ls.Verdict.NO)):
+        inst = ls.Instance.from_values(values, target)
+        reads = []
+        for k in (1, 2 * 10**8):
+            params = ls.PhysicalParams(offset_k_quanta=k)
+            halves = ls.propagate_halves(ls.compile_layout(inst, params))
+            for half in (halves.left, halves.right):
+                assert isinstance(half, sim.Chain)
+                assert half.path_times().dtype == np.int32
+            report = ls.detect(halves, inst, params)
+            assert report.checked_moment == target + 26 * k
+            reads.append((report.ray_count_at_moment, halves.half_entries, report.verdict))
+        assert reads[0] == reads[1]
+        assert reads[0][2] is verdict
 
 
 def test_split_count_multiplies_in_the_width_of_the_whole_device():
@@ -460,8 +510,8 @@ def test_detect_stage_mismatch():
 
 
 def test_detect_target_far_beyond_the_profile():
-    # the largest target an instance may have: its moment 2^62 + 1 is still
-    # int64 when read from the halves
+    # the largest target an instance may have: its moment 2^62 + 1, read
+    # from the halves' earliest paths, lies past both of their spans
     report = detect_values([1, 2], 2**62 - 1)
     assert report.verdict is ls.Verdict.NO
     assert report.ray_count_at_moment == 0
@@ -603,8 +653,8 @@ def test_perturbation_cap_charges_each_trial_a_fixed_cost():
 @pytest.mark.parametrize("error,charge", [
     # cut within 0.1 quantum, 3 cables always read the pair on 5: 6 draws
     ("0.1", 6),
-    # cut within 0.4 quantum, the trials enumerate halves of 2^2 paths at most
-    ("0.4", 4),
+    # cut within 0.4 quantum, the trials enumerate halves of 2^1 and 2^2 paths
+    ("0.4", 6),
 ], ids=["decided", "enumerating"])
 def test_perturbation_cap_charges_what_a_trial_costs(error, charge, monkeypatch):
     # 10 trials fill a cap of exactly their charge, and pass one below it
@@ -716,23 +766,52 @@ def test_perturbation_matches_a_naive_reference_on_small_devices():
         assert got == expected, (values, target, quanta)
 
 
+def test_perturbation_matches_the_reference_on_any_layout():
+    # epsilon devices, whose skip arcs of epsilon outrun the values below
+    # it, so that some stages step down, read at B + n*k as the offset device
+    # is: the moment may lie before the earliest exact path. A half that
+    # keeps some of its paths marks them by their subset order, whichever
+    # way its steps go.
+    rng = random.Random(29)
+    grid = sim.PERTURB_GRID
+    for _ in range(60):
+        n, epsilon, k = rng.randint(1, 8), rng.randint(1, 6), rng.randint(1, 3)
+        values = [rng.randint(1, 12) for _ in range(n)]
+        target = rng.randint(0, sum(values) + 2)
+        span, seed = int(rng.choice([0.1, 0.25, 0.4]) * grid), rng.randrange(1000)
+        inst = ls.Instance.from_values(values, target)
+        params = ls.PhysicalParams(offset_k_quanta=k)
+        layout = ls.compile_epsilon_layout(inst, epsilon)
+        report = ls.perturb_and_classify(layout, inst, params,
+                                         Fraction(span, grid) * params.quantum_length_m, 24, seed)
+        drift = report.max_arrival_error_s * grid / params.delay_quantum_s
+        expected = cut_outcome(sim._arcs(layout), target + n * k, has_subset_sum(values, target),
+                               span, grid, 24, seed)
+        got = (report.misclassified, report.false_positives, report.false_negatives, drift)
+        assert got == expected, (values, target, epsilon, k, span)
+
+
 @pytest.mark.parametrize("top", [1072, 1073])
 def test_perturbation_matches_the_reference_on_both_sides_of_the_int32_trials(top):
-    # Trials hold their times as int32 while twice the larger of the longest
-    # perturbed path and the window top, plus one, is below 2^31 grid units.
-    # Six values cut within a quarter quantum drift by 1.5 quanta at most: a
-    # longest path of 1072 quanta makes the path term 2^31 - 483647, one of
-    # 1073 makes it 2^31 + 1516353. A target two quanta past the longest
-    # path makes the window top the larger term, with the same two bounds at
-    # moments of 1073 and 1074 quanta. Targets on, beside and past the sums
-    # run trials that keep some half-paths, and some trials misclassify.
-    grid, span, k = sim.PERTURB_GRID, sim.PERTURB_GRID // 4, 1
+    # Trials measure their times from the earliest exact path less 6 errors,
+    # and hold them as int32 while twice the largest of the longest perturbed
+    # path, the window top and their distance below its bottom, plus one, is
+    # below 2^31 grid units. Six values cut within a quarter quantum drift by
+    # 1.5 quanta at most, so a sum of top - 2 quanta makes the longest path
+    # top + 1 quanta: 2^31 - 1483647 at 1072, 2^31 + 516353 at 1073. A
+    # target two quanta past a sum of top - 3 makes the window top the
+    # largest term, at the same top + 1 quanta. Targets on, beside and past
+    # the sums run trials that keep some half-paths, and some trials
+    # misclassify. The offset k enters no bound, so it runs to 10^6.
+    grid, span = sim.PERTURB_GRID, sim.PERTURB_GRID // 4
     misclassified = 0
-    for longest, targets in ((top, (500, 501, top - 7, top - 6)), (top - 1, (top - 5,))):
-        values = [100, 150, 170, 190, 210, longest - 826]
-        assert sum(values) + 6 * k == longest
-        for target in targets:
-            bound = 2 * max(longest * grid + 6 * span, (target + 6 * k) * grid + grid // 2) + 1
+    for total, targets in ((top - 2, (500, 501, top - 3, top - 2)), (top - 3, (top - 1,))):
+        values = [100, 150, 170, 190, 210, total - 820]
+        assert sum(values) == total
+        for target, k in zip(targets, (1, 10**6, 1, 10**6)):
+            target_g = target * grid + 6 * span
+            top_g = total * grid + 12 * span
+            bound = 2 * max(top_g, target_g + grid // 2, top_g - target_g + grid // 2) + 1
             assert (bound < 2**31) == (top == 1072)
             expected = perturbation_outcome(values, target, k, span, grid, 40, seed=target)
             assert perturb_outcome(values, target, span, 40, target, k) == expected, (values, target)
@@ -745,9 +824,8 @@ def test_perturbation_matches_the_reference_on_both_sides_of_the_int32_trials(to
     ([3, 1095, 18, 9, 23], 22, sim.PERTURB_GRID // 10),
 ])
 def test_perturbation_past_the_int32_bound_matches_the_reference(values, target, span):
-    # longest paths of 1104 and 1153 quanta: a trial's doubled keys and
-    # times pass 2^31 grid units; wrapped in int32, each would read 20
-    # false positives where the reference has none
+    # spans of 1101 and 1148 quanta: a trial's doubled keys and times,
+    # measured from the earliest exact path, pass 2^31 grid units
     expected = perturbation_outcome(values, target, 1, span, sim.PERTURB_GRID, 20, seed=1)
     assert perturb_outcome(values, target, span, 20, 1) == expected
 
