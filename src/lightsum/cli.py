@@ -197,7 +197,7 @@ def _json(obj: object, newline: str) -> str:
     return writer(obj, newline)
 
 
-def _int(obj: int, newline: str = "") -> str:
+def _int(obj: int, newline: str) -> str:
     _check_length(obj)
     return int.__repr__(obj)
 
@@ -211,9 +211,7 @@ def _list(obj: list | tuple, newline: str) -> str:
     if not obj:
         return "[]"
     inner = newline + "  "
-    # Plain ints, such as a report's entry counts, skip the type lookup.
-    body = ("," + inner).join([_int(item) if type(item) is int else _json(item, inner)
-                               for item in obj])
+    body = ("," + inner).join([_json(item, inner) for item in obj])
     return f"[{inner}{body}{newline}]"
 
 

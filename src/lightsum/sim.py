@@ -45,15 +45,18 @@ no plain path time is written first. One sort brings a key directly before
 the right time one above it where a pair meets; from the same runs of equal
 values come the multiplicity of each meet and each half's distinct times.
 Each half has at most 2^ceil(n/2) paths, and the caps apply per half. The
-halves are the one way the exact device is read: the solver, the epsilon
-demonstration and the perturbation pre-pass read them, and the whole profile
-(`propagate`) is built only to be dumped.
+halves are the one way the exact device is read, and `count_at` the one read
+of a moment: the solver, the epsilon demonstration and the perturbation
+pre-pass read them, and the whole profile (`propagate`) is built only to be
+dumped.
 
 Perturbation trials cut their chains at the same node, and the exact halves,
 propagated as the detector propagates them, decide every trial or mark the
-candidate half-paths before the first (see `perturb_and_classify`). The
-trials count no rays: each chunk draws its cable errors in one batch and
-reads its windows from the tagged path times of its perturbed halves.
+candidate half-paths before the first (see `perturb_and_classify`): while n
+errors drift by at most half a quantum, the count at the moment decides.
+The trials count no rays: each chunk draws its cable errors in one batch and
+reads its windows from the tagged path times of its perturbed halves, one
+batch of chains for the chunk.
 """
 
 from __future__ import annotations
@@ -226,11 +229,12 @@ def _path_times(base: int | np.ndarray, steps: Sequence[int] | np.ndarray,
                 out: np.ndarray) -> np.ndarray:
     """Every path value of one chain, or of each of a batch of chains, in subset order.
 
-    For one chain `out` is a row of 2^stages entries, `base` an int and
-    `steps` a sequence of ints, one a stage; for a batch, `out` has shape
-    (chains, 2^stages), `base` one value a chain and `steps` shape (chains,
-    stages). Entry p of a row is its base plus its step s for every bit s set
-    in p. With the sum of the skip arcs for base and take - skip for the
+    For one chain, an exact half that a reader enumerates, `out` is a row of
+    2^stages entries, `base` an int and `steps` a sequence of ints, one a
+    stage; for a batch, a chunk of perturbation trials' halves, `out` has
+    shape (chains, 2^stages), `base` one value a chain and `steps` shape
+    (chains, stages). Entry p of a row is its base plus its step s for every
+    bit s set in p. With the sum of the skip arcs for base and take - skip for the
     steps, these are the path times: path p takes stage s's take arc when
     bit s of p is set and its skip arc otherwise, and equal times are kept.
     An affine map of every path time, such as a tag, is folded into the base
@@ -330,14 +334,13 @@ class SplitProfile:
         pair meets outside [0, span]. Both halves go into one buffer, tagged
         by parity: each left time l as the key 2(M - l) and each right time r
         as 2r + 1, and the buffer is sorted once. An enumerated half writes
-        its tagged paths straight into the buffer, the tag folded into its
-        chain's base and steps (both halves as one two-row batch when they
-        have as many stages), and a dense half is tagged from its times. A
-        left time and a right time meet when r = M - l, and then the run of
-        the key 2r is directly followed by the run of 2r + 1, since no value
-        lies between: two neighbours that differ in the tag bit alone. Only
-        those few meets are looked up. An entry stands for as many paths as
-        its run is long in an enumerated half, and for its count, found by
+        its tagged paths straight into its part of the buffer, the tag folded
+        into its chain's base and steps, and a dense half is tagged from its
+        times. A left time and a right time meet when r = M - l, and then the
+        run of the key 2r is directly followed by the run of 2r + 1, since no
+        value lies between: two neighbours that differ in the tag bit alone.
+        Only those few meets are looked up. An entry stands for as many paths
+        as its run is long in an enumerated half, and for its count, found by
         searchsorted, in a dense one; the products are taken in the count
         dtype of the whole device. The same runs give each half's distinct
         times for `half_entries`: its entries less those equal to the entry
@@ -351,23 +354,16 @@ class SplitProfile:
         split = len(left)
         tagged = np.empty(split + len(right), dtype=dtype)
         key_part, time_part = tagged[:split], tagged[split:]
-        rows = []  # (tagged base, tagged steps, buffer part) of each chain
         if isinstance(left, Chain):
-            rows.append((2 * (moment - left.base), [-2 * step for step in left.steps], key_part))
+            _path_times(2 * (moment - left.base), [-2 * step for step in left.steps], key_part)
         else:
             np.subtract(moment, left.times, out=key_part, dtype=dtype, casting="unsafe")
             key_part <<= 1
         if isinstance(right, Chain):
-            rows.append((2 * right.base + 1, [2 * step for step in right.steps], time_part))
+            _path_times(2 * right.base + 1, [2 * step for step in right.steps], time_part)
         else:
             np.left_shift(right.times, 1, out=time_part, dtype=dtype, casting="unsafe")
             time_part |= 1
-        if len(rows) == 2 and split == len(right):
-            bases, steps, _ = zip(*rows)
-            _path_times(np.array(bases, dtype), np.array(steps, dtype), tagged.reshape(2, split))
-        else:
-            for row in rows:
-                _path_times(*row)
         tagged.sort()
         # An entry equal to the one before it repeats its half's time, an odd
         # one a right time.
@@ -669,10 +665,13 @@ def perturb_and_classify(
     largest error, so its times are non-negative and are read, as the exact
     halves are, from the earliest exact path: the offset k enters no bound.
     A perturbed path lies within n * error of its exact time. So the run
-    first propagates the exact halves (`propagate_halves`) and reads their
-    times against each other: every trial detects when some pair lies within
-    half a quantum minus n * error of the target, and a half-path is a
-    candidate when some partner makes a pair within half a quantum plus
+    first propagates the exact halves (`propagate_halves`). While n * error
+    is at most half a quantum, a path on the target lands within half a
+    quantum of it in every trial, so a ray counted there
+    (`SplitProfile.count_at`) makes every trial detect; below half a quantum
+    no other path can land there, so a count of 0 makes none detect.
+    Otherwise the halves' times are read against each other, and a half-path
+    is a candidate when some partner makes a pair within half a quantum plus
     n * error; an enumerated half writes its path times from its chain, and
     sorts and counts them, once for this. The ray counts of the candidate
     times tell whether a half keeps a proper subset of its paths; only then
@@ -724,17 +723,20 @@ def perturb_and_classify(
     _check_paths(half)
 
     # A perturbed path lies within n*err_span grid units of its exact time of
-    # S quanta. It can land in the window only when |S - moment| <= near, and
-    # lands there in every trial when |S - moment| <= sure (none if negative).
-    # The pre-pass reads counted profiles: an enumerated half writes its
-    # path times, sorts and counts them.
+    # S quanta, so it can land in the window only when |S - moment| <= near.
+    # While n*err_span is at most window_g, a path on the moment lands there
+    # in every trial: a ray counted there decides them all. Below window_g,
+    # near is 0 and a count of 0 decides too. Otherwise the halves are
+    # counted (an enumerated half writes its path times, sorts and counts
+    # them) and read for the pairs within near of the moment.
     near = (window_g + n * err_span) // PERTURB_GRID
-    sure = (window_g - n * err_span) // PERTURB_GRID
     halves = propagate_halves(layout)
-    left, right = (h.counted() if isinstance(h, Chain) else h for h in (halves.left, halves.right))
-    always = sure >= 0 and _partnered(left.times, right.times, moment - sure, moment + sure).any()
+    checked = instance.target + n * params.offset_k_quanta
+    always = n * err_span <= window_g and halves.count_at(checked) > 0
     candidates = None
-    if not always:
+    if near and not always:
+        left, right = (h.counted() if isinstance(h, Chain) else h
+                       for h in (halves.left, halves.right))
         near_left = _partnered(left.times, right.times, moment - near, moment + near)
         if near_left.any():
             near_right = _partnered(right.times, left.times, moment - near, moment + near)

@@ -872,6 +872,36 @@ def test_every_trial_detects_a_path_on_the_target_while_n_errors_fit_the_window(
     assert expected[0] == 0
 
 
+def test_the_count_at_the_moment_decides_trials_within_the_drift_bound(monkeypatch):
+    # n errors drift by less than half a quantum, so only a path on the
+    # moment can land in the window, and it lands there in every trial: the
+    # exact count decides, and no half is counted or read for a band
+    def refused(*args):
+        raise AssertionError("counted a half or read a band")
+
+    monkeypatch.setattr(sim, "_partnered", refused)
+    monkeypatch.setattr(sim.Chain, "counted", refused)
+    grid = sim.PERTURB_GRID
+    for values, target, span, epsilon in (
+        ([1, 2, 3, 4], 5, grid // 10, None),  # YES: 4 cuts drift 0.4 quantum at most
+        ([2, 4], 3, grid // 5, None),  # NO
+        # the epsilon device's path 3 + epsilon lands on B + n*k = 4: every
+        # trial of a NO instance is a false positive
+        ([3, 5], 2, grid // 5, 1),
+    ):
+        inst = ls.Instance.from_values(values, target)
+        layout = (ls.compile_layout(inst, P) if epsilon is None
+                  else ls.compile_epsilon_layout(inst, epsilon))
+        report = ls.perturb_and_classify(layout, inst, P,
+                                         Fraction(span, grid) * P.quantum_length_m, 50, 4)
+        drift = report.max_arrival_error_s * grid / P.delay_quantum_s
+        expected = cut_outcome(sim._arcs(layout), target + len(values),
+                               has_subset_sum(values, target), span, grid, 50, 4)
+        got = (report.misclassified, report.false_positives, report.false_negatives, drift)
+        assert got == expected, (values, target, epsilon)
+    assert expected[1] == 50
+
+
 # (values, target, k, span) on a coarse grid, where errors reach their bounds
 # often; the window is grid // 2 either side of the target.
 BAND_EDGES = {
@@ -1047,6 +1077,36 @@ def test_perturbation_past_the_grid_bound_is_a_resource_limit():
     for values, target in (([3 * 10**12] * 4, 12 * 10**12), ([1, 2], 5 * 10**12)):
         with pytest.raises(ls.ResourceLimit, match="grid"):
             perturb_values(values, target, error, 40, seed=0)
+
+
+def test_perturbation_bounds_the_longest_path_less_a_window_below_the_origin():
+    # The epsilon device of {a, 2} at epsilon = 2, read at B + n*k = 3, puts
+    # the moment one quantum before its earliest path, so the trials' window
+    # starts below their origin. Cut within a quarter quantum, 2 cables drift
+    # by half a quantum, and the trials enumerate the pair one quantum above
+    # the moment. A left key lo - l then lies as far below 0 as the longest
+    # path lies above the window bottom lo: at a = 4611686018428 the longest
+    # path is 2^62 - 387904 grid units, and that distance passes 2^62, past
+    # which a doubled key overflows int64. One quantum shorter, the trials
+    # run, and match the reference.
+    grid, span = sim.PERTURB_GRID, sim.PERTURB_GRID // 4
+    error = Fraction(span, grid) * P.quantum_length_m
+    for a in (4611686018428, 4611686018427):
+        inst = ls.Instance.from_values([a, 2], 1)
+        layout = ls.compile_epsilon_layout(inst, 2)
+        top_g = (a - 2) * grid + 4 * span
+        bottom_g = -grid + 2 * span - grid // 2
+        assert top_g < sim.MAX_DELAY_QUANTA
+        assert (top_g - bottom_g >= sim.MAX_DELAY_QUANTA) == (a == 4611686018428)
+        if a == 4611686018428:
+            with pytest.raises(ls.ResourceLimit, match="grid"):
+                ls.perturb_and_classify(layout, inst, P, error, 200, 0)
+        else:
+            report = ls.perturb_and_classify(layout, inst, P, error, 200, 0)
+            drift = report.max_arrival_error_s * grid / P.delay_quantum_s
+            expected = cut_outcome(sim._arcs(layout), 3, False, span, grid, 200, 0)
+            assert (report.misclassified, report.false_positives, report.false_negatives,
+                    drift) == expected
 
 
 def test_perturbation_argument_validation():
