@@ -21,7 +21,6 @@ from .analysis import (
     slow_light_rescale,
 )
 from .errors import (
-    InvalidPerturbation,
     InvalidValue,
     LightsumError,
     Overflow,

@@ -27,7 +27,6 @@ from typing import Iterator
 
 from .analysis import feasibility_report, slow_light_rescale
 from .errors import (
-    InvalidPerturbation,
     InvalidValue,
     Overflow,
     ParseError,
@@ -371,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ParseError, InvalidValue, Overflow, InvalidPerturbation, OSError) as exc:
+    except (ParseError, InvalidValue, Overflow, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     except ResourceLimit as exc:

@@ -31,7 +31,3 @@ class ResourceLimit(LightsumError):
     The result is never silently approximated; callers should pick a
     different solver or a smaller instance.
     """
-
-
-class InvalidPerturbation(LightsumError):
-    """A sampled cable-length error would make some physical length non-positive."""

@@ -36,6 +36,9 @@ from .rational import parse_decimal, to_fraction
 # quantum; the paper's 300 km cable encodes 10^9.
 MAX_DELAY_QUANTA = 2**62
 
+# The vacuum's light speed; a medium slows light through velocity_factor.
+LIGHT_SPEED_M_S = 300_000_000
+
 
 class Verdict(str, Enum):
     """Answer to "does some subset of the values sum to the target?"."""
@@ -180,13 +183,13 @@ class PhysicalParams:
 
     Numeric arguments may be given as int, str, Fraction or Decimal; anything
     but a Fraction goes through rational.parse_decimal, which refuses floats.
-    Defaults: picosecond delay quantum (the oscilloscope rise time), vacuum
-    light speed, ideal splitters, a 1 W source, photomultiplier gain 1e8 and a
-    1 nW detection threshold.
+    Light runs at LIGHT_SPEED_M_S times velocity_factor. Defaults:
+    picosecond delay quantum (the oscilloscope rise time), vacuum speed,
+    ideal splitters, a 1 W source, photomultiplier gain 1e8 and a 1 nW
+    detection threshold.
     """
 
     delay_quantum_s: Fraction = Fraction(1, 10**12)
-    light_speed_m_s: Fraction = Fraction(300_000_000)
     velocity_factor: Fraction = Fraction(1)
     offset_k_quanta: int = 1
     source_power_w: Fraction = Fraction(1)
@@ -203,8 +206,6 @@ class PhysicalParams:
             raise ParseError("offset_k_quanta must be an integer")
         if self.delay_quantum_s <= 0:
             raise InvalidValue("delay_quantum_s must be > 0")
-        if self.light_speed_m_s <= 0:
-            raise InvalidValue("light_speed_m_s must be > 0")
         if not 0 < self.velocity_factor <= 1:
             raise InvalidValue("velocity_factor must be in (0, 1]")
         if self.offset_k_quanta < 1:
@@ -221,8 +222,8 @@ class PhysicalParams:
     @property
     def quantum_length_m(self) -> Fraction:
         """Fiber length that delays a ray by exactly one quantum:
-        speed * velocity_factor * quantum. 0.0003 m at the defaults."""
-        return self.light_speed_m_s * self.velocity_factor * self.delay_quantum_s
+        LIGHT_SPEED_M_S * velocity_factor * quantum. 0.0003 m at the defaults."""
+        return LIGHT_SPEED_M_S * self.velocity_factor * self.delay_quantum_s
 
 
 @dataclass(frozen=True)
@@ -310,9 +311,8 @@ def cable_lengths(layout: DeviceLayout, params: PhysicalParams) -> list[Fraction
 # Shared by every document without overrides: PhysicalParams is frozen.
 _DEFAULT_PARAMS = PhysicalParams()
 
-# Every field of PhysicalParams but the light speed, which is the vacuum's:
-# a medium slows light through velocity_factor.
-INSTANCE_PARAM_KEYS = tuple(f.name for f in fields(PhysicalParams) if f.name != "light_speed_m_s")
+# The params an instance document may override: every field of PhysicalParams.
+INSTANCE_PARAM_KEYS = tuple(f.name for f in fields(PhysicalParams))
 
 
 def parse_instance_document(doc: object) -> tuple[RawInstance, PhysicalParams]:

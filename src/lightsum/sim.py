@@ -69,7 +69,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .analysis import per_ray_power
-from .errors import InvalidPerturbation, InvalidValue, ResourceLimit, StageMismatch
+from .errors import InvalidValue, ResourceLimit, StageMismatch
 from .model import (
     MAX_DELAY_QUANTA,
     DeviceLayout,
@@ -651,10 +651,9 @@ def perturb_and_classify(
     """Cut every cable with a uniform length error and re-run the detection.
 
     Errors are drawn on a grid of quantum_length / 1e6 so arrival times stay
-    exact integers in grid units; a nonzero max error finer than that grid is
-    rejected rather than silently read as zero. An arrival registers as the
-    target moment when it lies within half a delay quantum of it (times are
-    only resolvable to the quantum, so closer than half a quantum is
+    exact integers in grid units. An arrival registers as the target moment
+    when it lies within half a delay quantum of it (times are only
+    resolvable to the quantum, so closer than half a quantum is
     indistinguishable from exact).
     Each trial's detection is classified against the oracle verdict.
     Deterministic for a fixed seed: errors, in grid units, are drawn as
@@ -678,19 +677,24 @@ def perturb_and_classify(
     are its exact paths enumerated again to mark which. Trials run
     PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time, or
     PERTURB_CHUNK_ARRIVALS // 8n when the exact halves decide them (at least
-    one). A chunk draws and checks its errors; unless some pair always
-    detects or none can, it enumerates the tagged path times of its
-    perturbed halves into one buffer and reads the window from the
-    candidates alone.
+    one). A chunk draws its errors; unless some pair always detects or none
+    can, it enumerates the tagged path times of its perturbed halves into
+    one buffer and reads the window from the candidates alone.
 
-    A half past the path cap that detection checks raises ResourceLimit
-    before the first trial, as does a longest perturbed path or a window
-    edge that could lie MAX_DELAY_QUANTA grid units from where the trials'
-    times start, where int64 times would overflow. After the pre-pass, so
-    does a run whose trials, each charged PERTURB_TRIAL_ARRIVALS plus both
-    halves' 2^floor(n/2) + 2^ceil(n/2) arrivals when the trials enumerate and
-    its 2n drawn errors when the exact halves decide them, pass
-    MAX_PERTURB_ARRIVALS.
+    Every refusal comes before the first draw: once a run draws, it answers.
+    ParseError or Overflow: a max error that `to_fraction` refuses.
+    InvalidValue: a negative max error, fewer than one trial, a nonzero max
+    error finer than the grid (rather than read as zero), or one past the
+    shortest cable, k quanta on the offset device. Up to that bound no draw
+    cuts a cable below zero, and a cable cut to exactly zero delays its ray
+    by 0. ResourceLimit: a longest perturbed path or a window edge
+    that could lie MAX_DELAY_QUANTA grid units from where the trials' times
+    start, where int64 times would overflow; a half past the path cap that
+    detection checks, or past a cap of `propagate_halves`; and, after the
+    pre-pass, a run whose trials, each charged PERTURB_TRIAL_ARRIVALS plus
+    both halves' 2^floor(n/2) + 2^ceil(n/2) arrivals when the trials
+    enumerate and its 2n drawn errors when the exact halves decide them,
+    pass MAX_PERTURB_ARRIVALS, or an oracle past its own cap.
     """
     max_error = to_fraction(max_error_m)
     if max_error < 0:
@@ -706,10 +710,16 @@ def perturb_and_classify(
         raise InvalidValue(
             f"max_error_m is finer than the perturbation grid of quantum_length/{PERTURB_GRID}"
         )
+    # No draw cuts a cable below zero while err_span is at most the shortest
+    # cable, k quanta on the offset device; a cable cut to exactly zero
+    # delays its ray by 0.
+    exact = _arcs(layout)
+    shortest = min(map(min, exact), default=0)
+    if n and err_span > shortest * PERTURB_GRID:
+        raise InvalidValue(f"max_error_m passes the shortest cable, {shortest} * quantum_length")
     # The moment in quanta from the earliest exact path, where the exact
     # halves' times start, and the window in the trials' grid times, which
     # start n * err_span below it. Both are read before anything propagates.
-    exact = _arcs(layout)
     moment = instance.target + n * params.offset_k_quanta - sum(map(min, exact))
     window_g = PERTURB_GRID // 2
     target_g = moment * PERTURB_GRID + n * err_span
@@ -759,17 +769,13 @@ def perturb_and_classify(
         )
     oracle_yes = solve_auto(instance).verdict is Verdict.YES
 
-    # An error cuts a cable non-positive when it reaches the cable's length,
-    # which no error does past err_span // PERTURB_GRID quanta: the lengths
-    # are capped there, so no offset is scaled to the grid.
-    exact_q = np.array(exact, dtype=np.int64).reshape(n, 2)
-    floor_g = np.minimum(exact_q, err_span // PERTURB_GRID + 1) * -PERTURB_GRID
     chunk = min(trials, max(1, PERTURB_CHUNK_ARRIVALS // max(size, 1)))
     if candidates is not None:
         # Each arc from its stage's shorter arc less err_span. The buffers
         # serve every chunk: fresh ones each chunk fault in new pages on every
         # call. Every value _pairs_within forms lies within twice the bound,
         # plus one, which picks their width.
+        exact_q = np.array(exact, dtype=np.int64).reshape(n, 2)
         arcs_g = (exact_q - exact_q.min(axis=1, keepdims=True)) * PERTURB_GRID + err_span
         dtype = _time_dtype(2 * bound + 1)
         stages = (cut, half)
@@ -783,10 +789,6 @@ def perturb_and_classify(
         c = min(chunk, trials - done)
         # Drawn in the order trial, stage, skip before take.
         errors = draw(2 * n * c).reshape(c, n, 2)
-        if (errors <= floor_g).any():
-            raise InvalidPerturbation(
-                "a sampled length error made a cable non-positive; reduce max_error_m"
-            )
         # A trial's earliest and latest drift: every stage's smaller error, or larger.
         skip, take = errors[..., 0], errors[..., 1]
         drift = np.abs((np.minimum(skip, take).sum(axis=1), np.maximum(skip, take).sum(axis=1)))

@@ -26,7 +26,7 @@ def has_subset_sum(values, target):
 
 def perturbation_outcome(values, target, k, span, grid, trials, seed):
     """(misclassified, false positives, false negatives, largest drift) of
-    seeded perturbation trials, or None when a drawn cable is non-positive.
+    seeded perturbation trials, or None when a drawn cable is negative.
 
     Every cable of the offset device (skip k, take a + k quanta) is cut as
     `cut_outcome` cuts it, and a trial detects at (target + n*k) * grid.
@@ -42,10 +42,11 @@ def cut_outcome(arcs, moment, yes, span, grid, trials, seed):
 
     Every cable, in units of quantum / grid, is cut with an error from
     `random.Random(seed).randint` in [-span, span], trial by trial, stage by
-    stage, skip before take. A trial detects when any of its 2^n paths,
-    summed arc by arc, lies within grid // 2 of moment * grid. The drift is
-    the largest distance of a perturbed path from its exact time, over all
-    trials.
+    stage, skip before take; a cable cut to exactly 0 delays its ray by 0,
+    and one cut below 0 makes the outcome None. A trial detects when any of
+    its 2^n paths, summed arc by arc, lies within grid // 2 of moment * grid.
+    The drift is the largest distance of a perturbed path from its exact
+    time, over all trials.
     """
     rng = random.Random(seed)
     detected = drift = 0
@@ -54,7 +55,7 @@ def cut_outcome(arcs, moment, yes, span, grid, trials, seed):
         for arc in arcs:
             exact = (arc[0] * grid, arc[1] * grid)
             stages.append([(t, t + rng.randint(-span, span)) for t in exact])
-        if any(cut <= 0 for stage in stages for _, cut in stage):
+        if any(cut < 0 for stage in stages for _, cut in stage):
             return None
         paths = list(product(*stages))
         detected += any(abs(sum(cut for _, cut in path) - moment * grid) <= grid // 2

@@ -101,10 +101,10 @@ def test_criterion_3_profile_invariants_on_100_instances():
 
 
 def test_criterion_4_encodable_value_bounds():
-    derived_quantum = P.light_speed_m_s * P.velocity_factor * P.delay_quantum_s
+    derived_quantum = ls.model.LIGHT_SPEED_M_S * P.velocity_factor * P.delay_quantum_s
     ok = (
         P.delay_quantum_s == Fraction(1, 10**12)
-        and P.light_speed_m_s == 3 * 10**8
+        and ls.model.LIGHT_SPEED_M_S == 3 * 10**8
         and derived_quantum == Fraction(3, 10000)
         and ls.max_encodable(3000, P) == 10**7
         and ls.max_encodable(300000, P) == 10**9

@@ -636,6 +636,28 @@ def test_perturb_trials_the_exact_halves_decide_are_charged_their_draws(tmp_path
     assert (report["trials"], report["misclassified"]) == (300000, 0)
 
 
+def test_perturb_error_as_long_as_the_shortest_cable_answers(tmp_path, capsys):
+    # errors of one quantum, the skip arcs' length: at seed 4 some draw cuts a
+    # skip arc to exactly nothing, which delays its ray by 0; at k = 2 an
+    # error one grid unit past a quantum answers too
+    f = write_instance(tmp_path, {"set": [1, 2, 3], "target": 5})
+    for flags, trials in ((["--max-error-m", "0.0003", "--seed", "4"], 100000),
+                          (["--max-error-m", "0.0003000003", "--k", "2"], 1)):
+        code, report, err = run(capsys, ["perturb", f, *flags, "--trials", str(trials)])
+        assert (code, err) == (0, ""), flags
+        assert report["trials"] == trials
+
+
+@pytest.mark.parametrize("error", ["0.0003000003", "1e999"])
+def test_perturb_error_past_the_shortest_cable_is_an_input_error(tmp_path, capsys, error):
+    # one grid unit past skip arcs of one quantum, and an error whose grid
+    # bound passes 2^62, are refused before any draw
+    f = write_instance(tmp_path, {"set": [1, 2, 3], "target": 5})
+    code, report, err = run(capsys, ["perturb", f, "--max-error-m", error, "--trials", "1"])
+    assert (code, report) == (3, None)
+    assert "shortest cable" in err
+
+
 @pytest.mark.parametrize("error", ["0.00001", "0.00012", "0.00029"])
 def test_perturb_reports_do_not_depend_on_the_offset(tmp_path, capsys, error):
     # every path and the moment carry the same n * k, so k moves no drift and

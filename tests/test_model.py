@@ -307,7 +307,6 @@ def test_velocity_factor_scales_quantum_length():
     "kwargs",
     [
         {"delay_quantum_s": 0},
-        {"light_speed_m_s": -1},
         {"velocity_factor": 0},
         {"velocity_factor": "1.5"},
         {"offset_k_quanta": 0},

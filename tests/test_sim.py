@@ -631,7 +631,7 @@ def test_perturbation_is_deterministic_for_a_seed():
 
 
 def test_perturbation_rejects_lengths_that_can_go_non_positive():
-    with pytest.raises(ls.InvalidPerturbation):
+    with pytest.raises(ls.InvalidValue):
         perturb_values([1, 1, 1], 4, 2 * P.quantum_length_m, 100, seed=0)
 
 
@@ -698,12 +698,13 @@ def test_perturbed_profiles_share_the_map_entry_cap(monkeypatch):
 
 def perturb_outcome(values, target, span, trials, seed, k=1):
     """perturb_and_classify with errors of up to `span` grid units, as
-    perturbation_outcome gives it, or None when it draws a non-positive cable."""
+    perturbation_outcome gives it, or None when it refuses an error past the
+    shortest cable."""
     params = ls.PhysicalParams(offset_k_quanta=k)
     error = Fraction(span, sim.PERTURB_GRID) * params.quantum_length_m
     try:
         report = perturb_values(values, target, error, trials, seed, params)
-    except ls.InvalidPerturbation:
+    except ls.InvalidValue:
         return None
     drift = report.max_arrival_error_s * sim.PERTURB_GRID / params.delay_quantum_s
     return report.misclassified, report.false_positives, report.false_negatives, drift
@@ -712,7 +713,8 @@ def perturb_outcome(values, target, span, trials, seed, k=1):
 def test_perturbation_matches_a_naive_reference_on_small_devices():
     # up to 8 stages, repeated values, targets on, beside and away from the
     # subset sums, and errors from 0 to 1.1 quanta, among them n * error of
-    # exactly half a quantum
+    # exactly half a quantum; an error past the shortest cable, k quanta, is
+    # refused, and every other is compared with the reference
     rng = random.Random(17)
     grid = sim.PERTURB_GRID
     for _ in range(120):
@@ -725,9 +727,12 @@ def test_perturbation_matches_a_naive_reference_on_small_devices():
                              Fraction(1, 2), Fraction(7, 10), 1, Fraction(11, 10),
                              Fraction(1, 2 * max(n, 1))])
         span, k, seed = int(quanta * grid), rng.choice([1, 2]), rng.randrange(1000)
-        expected = perturbation_outcome(values, target, k, span, grid, 24, seed)
         got = perturb_outcome(values, target, span, 24, seed, k)
-        assert got == expected, (values, target, quanta)
+        if n and span > k * grid:
+            assert got is None, (values, target, quanta, k)
+        else:
+            expected = perturbation_outcome(values, target, k, span, grid, 24, seed)
+            assert got is not None and got == expected, (values, target, quanta, k)
     # 9 or 10 values to 1000 make few pairs near a target on or beside a
     # subset sum, so each half reads only some of its paths in every trial
     rng = random.Random(23)
@@ -991,12 +996,13 @@ def test_perturbation_reports_are_pinned(values, target, expected):
 
 def test_perturbed_half_cap_counts_arrivals_before_the_first_trial(monkeypatch):
     # unit values with no error give a half of 3 stages only 4 distinct
-    # times but 8 arrivals; 2-quantum errors would make the first trial's
-    # cables non-positive, so the cap is checked before any trial runs
+    # times but 8 arrivals; at k = 2, errors of 2 quanta, as long as the
+    # shortest cable, run, and the cap is still checked before any trial
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
-    for error in (0, 2 * P.quantum_length_m):
+    for error, k in ((0, 1), (2 * P.quantum_length_m, 2)):
+        params = ls.PhysicalParams(offset_k_quanta=k)
         with pytest.raises(ls.ResourceLimit, match=r"2\^3"):
-            perturb_values([1] * 6, 3, error, 1, seed=0)
+            perturb_values([1] * 6, 3, error, 1, seed=0, params=params)
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
     assert perturb_values([1] * 6, 3, 0, 1, seed=0).misclassified == 0
 
@@ -1028,15 +1034,26 @@ def test_perturbation_reports_do_not_depend_on_the_chunk_size(values, target, ex
                     assert perturb_values(values, target, error, 40, seed) == default
 
 
-def test_non_positive_cable_is_rejected_whatever_the_chunk_size(monkeypatch):
-    # 1.1-quantum errors on skip arcs of one quantum: at seed 2 the first 16
-    # trials draw positive cables and the 17th does not
-    error = Fraction(11, 10) * P.quantum_length_m
-    assert perturb_values([1, 1, 1], 4, error, 16, seed=2).trials == 16
-    for per_chunk in (1, 7, 64):
-        monkeypatch.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk_of(per_chunk, 3))
-        with pytest.raises(ls.InvalidPerturbation):
-            perturb_values([1, 1, 1], 4, error, 40, seed=2)
+def test_an_error_past_the_shortest_cable_is_refused_before_anything_runs(monkeypatch):
+    # one grid unit past the skip arcs of k quanta is refused whatever the
+    # seed, the trial count and the chunk size, before the halves propagate
+    # or an error is drawn; an error of exactly k quanta runs
+    def never(*args):
+        raise AssertionError("ran past the refusal")
+
+    for k in (1, 3):
+        params = ls.PhysicalParams(offset_k_quanta=k)
+        error = (k + Fraction(1, sim.PERTURB_GRID)) * params.quantum_length_m
+        assert perturb_values([1, 1, 1], 4, k * params.quantum_length_m, 40, 2,
+                              params).trials == 40
+        with monkeypatch.context() as m:
+            m.setattr(sim, "propagate_halves", never)
+            m.setattr(sim, "_uniform_draws", never)
+            for per_chunk in (1, 7, 64):
+                m.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk_of(per_chunk, 3))
+                for seed, trials in ((2, 1), (2, 40), (4, 16), (13, 1000)):
+                    with pytest.raises(ls.InvalidValue, match="shortest cable"):
+                        perturb_values([1, 1, 1], 4, error, trials, seed, params)
 
 
 @pytest.mark.parametrize("span", [0, 1, 2, 7, 8, 35714, 400000, 2**31 - 1, 2**32,
