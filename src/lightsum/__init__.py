@@ -44,7 +44,6 @@ from .model import (
 from .oracles import (
     OracleResult,
     solve_auto,
-    solve_bruteforce,
     solve_dp,
     solve_mitm,
 )

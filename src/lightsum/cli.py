@@ -43,7 +43,7 @@ from .model import (
     load_instance_file,
     normalize,
 )
-from .oracles import solve_auto, solve_bruteforce, solve_dp, solve_mitm
+from .oracles import solve_auto, solve_dp, solve_mitm
 from .rational import fraction_str, to_fraction
 from .sim import (
     detect,
@@ -70,7 +70,6 @@ _quote = json.encoder.encode_basestring_ascii
 
 ORACLES = {
     "dp": solve_dp,
-    "brute": solve_bruteforce,
     "mitm": solve_mitm,
     "auto": solve_auto,
 }

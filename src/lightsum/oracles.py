@@ -1,14 +1,17 @@
 """Classical subset-sum solvers used as ground truth for the simulator.
 
-Three independent routes: a pseudo-polynomial dynamic program over reachable
-sums (bit-packed, O(n*B/64) word shifts), exhaustive enumeration of all 2^n
-subset sums, and meet-in-the-middle, both halves' 2^(n/2) sums in one buffer
-and one sort, whatever the target. Every simulated verdict is checked
-against at least one of these. `solve_auto` picks the DP or
-meet-in-the-middle by their cost; brute force is picked only by name, and is
-the tests' reference. Each answers NO at once, before its cap, when the
-target passes the sum of the values. None of them shares code with the
-simulator.
+Two independent routes: a pseudo-polynomial dynamic program over reachable
+sums (bit-packed, O(n*B/64) word shifts), and meet-in-the-middle, both
+halves' 2^(n/2) sums in one buffer and one sort, whatever the target. Every
+simulated verdict is checked against one of them, which `solve_auto` picks
+by their cost. Each answers NO at once, before its cap, when the target
+passes the sum of the values. None of them shares code with the simulator.
+
+The tests compare each with exact references that share no code with it:
+both with `tests/helpers.subset_sums`, which sums itertools' combinations
+one by one, on grids of up to 13 values and on generated instances; and
+meet-in-the-middle, on up to 20 values to 10^9, too wide for the DP, with
+the simulated device's ray count at B + n*k.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .model import Instance, Verdict
 # stops at 2^22 sums a half, as many paths as the simulator enumerates in one
 # half (sim.MAX_PROFILE_ENTRIES): 44 unit values take 0.1 s and peak at about
 # 100 MB resident (2-vCPU VM).
-BRUTE_FORCE_MAX_N = 25
 MITM_MAX_N = 44
 DP_MAX_TABLE_BITS = 10**8
 
@@ -67,27 +69,6 @@ def solve_dp(instance: Instance) -> OracleResult:
         if taken > b:
             reach &= mask
     return OracleResult(Verdict.from_bool(reach.bit_length() > b), "dp")
-
-
-def _all_subset_sums(values: tuple[int, ...]) -> np.ndarray:
-    """All 2^n subset sums by doubling, as int64: an Instance keeps the sum
-    of its values below model.MAX_DELAY_QUANTA = 2^62."""
-    arr = np.zeros(1, dtype=np.int64)
-    for a in values:
-        arr = np.concatenate((arr, arr + a))
-    return arr
-
-
-def solve_bruteforce(instance: Instance) -> OracleResult:
-    """Exhaustive enumeration of every subset sum."""
-    if instance.target > instance.total:
-        return OracleResult(Verdict.NO, "bruteforce")
-    if instance.n > BRUTE_FORCE_MAX_N:
-        raise ResourceLimit(
-            f"brute force is capped at n <= {BRUTE_FORCE_MAX_N}, got {instance.n}"
-        )
-    yes = bool(np.any(_all_subset_sums(instance.values) == instance.target))
-    return OracleResult(Verdict.from_bool(yes), "bruteforce")
 
 
 def solve_mitm(instance: Instance) -> OracleResult:

@@ -2,7 +2,9 @@
 
 Deliberately naive: subsets are enumerated index combination by index
 combination with itertools, so nothing here shares a code path with the
-package's bitset DP, doubling enumeration, or packed-profile propagation.
+package's routes: the bitset DP and meet-in-the-middle's one tagged sort
+among the oracles, and in the simulator, the dense count array and chain
+enumeration read through the tagged sort.
 """
 
 import random

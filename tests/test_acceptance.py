@@ -48,7 +48,7 @@ def test_criterion_1_oracle_equivalence_on_500_instances():
     for _ in range(500):
         inst = _random_instance(rng, max_n=20, max_value=10**4)
         sim = simulator_verdict(inst)
-        if sim is not ls.solve_dp(inst).verdict or sim is not ls.solve_bruteforce(inst).verdict:
+        if sim is not ls.solve_dp(inst).verdict or sim is not ls.solve_mitm(inst).verdict:
             mismatches += 1
         if sim is ls.Verdict.YES:
             yes += 1
@@ -145,7 +145,7 @@ def test_criterion_6_epsilon_device_false_positive():
         and demo.offset_verdict is ls.Verdict.NO
         and demo.oracle_verdict is ls.Verdict.NO
         and raw_moment_hit
-        and ls.solve_bruteforce(inst).verdict is ls.Verdict.NO
+        and ls.solve_mitm(inst).verdict is ls.Verdict.NO
     )
     _report(
         "criterion 6 epsilon false positive",

@@ -164,7 +164,7 @@ def test_golden_reports(tmp_path, capsys, argv, expected):
 
 def test_solve_oracle_flag(tmp_path, capsys):
     f = write_instance(tmp_path, {"set": [1, 2, 3], "target": 5})
-    for name, solver in [("dp", "dp"), ("brute", "bruteforce"), ("mitm", "mitm")]:
+    for name, solver in [("dp", "dp"), ("mitm", "mitm")]:
         code, report, _ = run(capsys, ["solve", f, "--oracle", name])
         assert code == 0
         assert report["oracle"]["solver_name"] == solver
@@ -343,8 +343,9 @@ def test_negative_value_is_an_input_error(tmp_path, capsys):
 
 
 def test_oracle_cap_is_a_resource_error(tmp_path, capsys):
-    f = write_instance(tmp_path, {"set": [1] * 26, "target": 3})
-    code, _, err = run(capsys, ["solve", f, "--oracle", "brute"])
+    # a target of 1e8 passes the DP's table budget of 1e8 bits
+    f = write_instance(tmp_path, {"set": [1, 100000000], "target": 100000000})
+    code, _, err = run(capsys, ["solve", f, "--oracle", "dp"])
     assert code == 4
     assert "resource" in err
 
@@ -403,6 +404,7 @@ def test_epsilon_below_one_is_an_input_error(tmp_path, capsys, epsilon, dump):
     ["compile", "{f}", "--seed", "1"],
     ["analyze", "{f}", "--dump-profile", "{out}"],
     ["perturb", "{f}", "--max-error-m", "0", "--oracle", "brute"],
+    ["solve", "{f}", "--oracle", "brute"],
 ])
 def test_usage_errors_are_input_errors(tmp_path, capsys, argv):
     # argparse would exit 2, which is the disagreement code
