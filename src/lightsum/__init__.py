@@ -47,15 +47,14 @@ from .oracles import (
     solve_dp,
     solve_mitm,
 )
+from .perturb import PerturbationReport, perturb_and_classify
 from .sim import (
     ArrivalProfile,
     DetectionReport,
     EpsilonDemoReport,
-    PerturbationReport,
     SplitProfile,
     detect,
     epsilon_false_positive_demo,
-    perturb_and_classify,
     propagate,
     propagate_halves,
     write_profile,

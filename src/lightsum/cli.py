@@ -44,11 +44,11 @@ from .model import (
     normalize,
 )
 from .oracles import solve_auto, solve_dp, solve_mitm
+from .perturb import perturb_and_classify
 from .rational import fraction_str, to_fraction
 from .sim import (
     detect,
     epsilon_false_positive_demo,
-    perturb_and_classify,
     propagate,
     propagate_halves,
     write_profile,

@@ -26,6 +26,11 @@ def has_subset_sum(values, target):
     return target in subset_sums(values)
 
 
+def arrivals(profile):
+    """A counted profile's {time: count} pairs, as plain ints."""
+    return dict(zip(profile.times.tolist(), profile.counts.tolist()))
+
+
 def perturbation_outcome(values, target, k, span, grid, trials, seed):
     """(misclassified, false positives, false negatives, largest drift) of
     seeded perturbation trials, or None when a drawn cable is negative.

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import lightsum as ls
 
+from helpers import arrivals
+
 P = ls.PhysicalParams()
 
 
@@ -63,12 +65,12 @@ def test_criterion_1_oracle_equivalence_on_500_instances():
 def test_criterion_2_two_stage_moments_and_binary_profile():
     inst = ls.Instance.from_values([1, 2], 0)
     profile = ls.propagate(ls.compile_layout(inst, P))
-    two_stage_ok = dict(profile.items()) == {2: 1, 3: 1, 4: 1, 5: 1}
+    two_stage_ok = arrivals(profile) == {2: 1, 3: 1, 4: 1, 5: 1}
 
     inst = ls.Instance.from_values([1, 2, 4, 8], 0)
     profile = ls.propagate(ls.compile_layout(inst, P))
     n, k = 4, P.offset_k_quanta
-    binary_ok = dict(profile.items()) == {t + n * k: 1 for t in range(16)}
+    binary_ok = arrivals(profile) == {t + n * k: 1 for t in range(16)}
     _report(
         "criterion 2 reference profiles",
         two_stage_ok and binary_ok,
@@ -86,7 +88,7 @@ def test_criterion_3_profile_invariants_on_100_instances():
         profile = ls.propagate(ls.compile_layout(inst, params))
         n, total = inst.n, inst.total
         ok = sum(profile.counts.tolist()) == 2**n
-        counts = dict(profile.items())
+        counts = arrivals(profile)
         mirror = total + 2 * n * k
         ok = ok and all(counts.get(mirror - t, 0) == c for t, c in counts.items())
         ok = ok and counts.get(n * k, 0) == 1
@@ -138,7 +140,7 @@ def test_criterion_6_epsilon_device_false_positive():
     inst = ls.Instance.from_values([5, 9, 10, 11], 8)
     demo = ls.epsilon_false_positive_demo(inst, 1, P)
     raw_moment_hit = (
-        dict(ls.propagate(ls.compile_epsilon_layout(inst, 1)).items()).get(8, 0) >= 1
+        arrivals(ls.propagate(ls.compile_epsilon_layout(inst, 1))).get(8, 0) >= 1
     )
     ok = (
         demo.epsilon_verdict is ls.Verdict.YES

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import io
 import math
 import random
@@ -14,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lightsum as ls
-from lightsum import sim
+from lightsum import model, perturb, sim
 from lightsum.rational import fraction_str
 
-from helpers import cut_outcome, has_subset_sum, perturbation_outcome, subset_sums
+from helpers import arrivals, cut_outcome, has_subset_sum, perturbation_outcome, subset_sums
 
 P = ls.PhysicalParams()
 
@@ -34,22 +36,22 @@ def offset_profile(values, k=1):
 
 def test_two_stage_profile_matches_the_four_moments():
     # 2k, a1+2k, a2+2k, a1+a2+2k with a1=1, a2=2, k=1
-    assert dict(offset_profile([1, 2]).items()) == {2: 1, 3: 1, 4: 1, 5: 1}
+    assert arrivals(offset_profile([1, 2])) == {2: 1, 3: 1, 4: 1, 5: 1}
 
 
 def test_zero_stage_profile_is_single_ray_at_time_zero():
     profile = offset_profile([])
-    assert dict(profile.items()) == {0: 1}
+    assert arrivals(profile) == {0: 1}
     assert profile.stage_index == 0
 
 
 def test_equal_values_coalesce():
-    assert dict(offset_profile([1, 1]).items()) == {2: 1, 3: 2, 4: 1}
+    assert arrivals(offset_profile([1, 1])) == {2: 1, 3: 2, 4: 1}
 
 
 def test_powers_of_two_reach_every_moment_once():
     profile = offset_profile([1, 2, 4, 8])
-    assert dict(profile.items()) == {t: 1 for t in range(4, 20)}
+    assert arrivals(profile) == {t: 1 for t in range(4, 20)}
 
 
 @given(values=small_values, k=st.integers(1, 5))
@@ -59,7 +61,7 @@ def test_profile_equals_subset_sum_multiset_shifted_by_nk(values, k):
     expected = {
         s + len(values) * k: c for s, c in subset_sums(values).items()
     }
-    assert dict(profile.items()) == expected
+    assert arrivals(profile) == expected
 
 
 @given(values=small_values, k=st.integers(1, 5))
@@ -68,7 +70,7 @@ def test_count_conservation_symmetry_and_extremes(values, k):
     profile = offset_profile(values, k)
     n, total = len(values), sum(values)
     assert sum(profile.counts.tolist()) == 2**n
-    counts = dict(profile.items())
+    counts = arrivals(profile)
     mirror = total + 2 * n * k
     for t, c in counts.items():
         assert counts.get(mirror - t, 0) == c
@@ -81,8 +83,8 @@ def test_count_conservation_symmetry_and_extremes(values, k):
 @given(values=small_values, extra=st.integers(1, 40), k=st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
 def test_stage_recurrence_shift_and_merge(values, extra, k):
-    base = dict(offset_profile(values, k).items())
-    grown = dict(offset_profile(values + [extra], k).items())
+    base = arrivals(offset_profile(values, k))
+    grown = arrivals(offset_profile(values + [extra], k))
     merged = Counter()
     for t, c in base.items():
         merged[t + k] += c
@@ -107,7 +109,7 @@ def test_dense_and_enumerated_paths_match_subset_sums(values, delay, epsilon):
     for paths_per_slot in (0, 2**64):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "DENSE_PATHS_PER_SLOT", paths_per_slot)
-            assert dict(ls.propagate(layout).items()) == expected
+            assert arrivals(ls.propagate(layout)) == expected
 
 
 def test_wide_count_fields_decode_exactly():
@@ -123,7 +125,7 @@ def test_wide_count_fields_decode_exactly():
         n = len(layout.stages)
         profile = ls.propagate(layout)
         assert profile.counts.dtype == dtype
-        assert dict(profile.items()) == {n + j: math.comb(n, j) for j in range(n + 1)}
+        assert arrivals(profile) == {n + j: math.comb(n, j) for j in range(n + 1)}
         assert sum(profile.counts.tolist()) == 2**n
 
 
@@ -133,7 +135,7 @@ def test_raising_k_moves_a_dense_profile_by_n_dk(dk):
     # moves every arrival by 6 dk
     inst = ls.Instance.from_values([1] * 6, 0)
     layouts = [ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=k)) for k in (1, 1 + dk)]
-    assert sim._propagate_chain(sim._arcs(layouts[1])).counts is not None
+    assert sim._propagate_chain(sim.arcs_of(layouts[1])).counts is not None
     low, high = map(ls.propagate, layouts)
     assert high.times.tolist() == [t + 6 * dk for t in low.times.tolist()]
     assert high.counts.tolist() == low.counts.tolist() == [1, 6, 15, 20, 15, 6, 1]
@@ -149,8 +151,8 @@ def test_enumerated_times_are_exact_on_both_sides_of_the_int32_sort():
             inst = ls.Instance.from_values([a, span - a], 0)
             profile = ls.propagate(ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=k)))
             assert profile.times.dtype == np.int64
-            assert dict(profile.items()) == {2 * k: 1, a + 2 * k: 1, span - a + 2 * k: 1,
-                                             span + 2 * k: 1}
+            assert arrivals(profile) == {2 * k: 1, a + 2 * k: 1, span - a + 2 * k: 1,
+                                         span + 2 * k: 1}
 
 
 @pytest.mark.parametrize("epsilon", [False, True], ids=["offset", "epsilon"])
@@ -168,7 +170,7 @@ def test_half_times_match_the_int64_enumerator_on_both_sides_of_2_31(epsilon, sp
         inst = ls.Instance.from_values(values, 0)
         layout = (ls.compile_epsilon_layout(inst, 9) if epsilon
                   else ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=2**40)))
-        arcs = sim._arcs(layout)
+        arcs = sim.arcs_of(layout)
         return layout, (arcs[:5] if side == "left" else arcs[5:])
 
     # the long value, past the skip arcs, is set so that its half's span
@@ -180,8 +182,8 @@ def test_half_times_match_the_int64_enumerator_on_both_sides_of_2_31(epsilon, sp
     # the half is kept as its chain, and enumerates one entry per path, in
     # subset order, each its time less the earliest
     least = sum(map(min, arcs))
-    times = sim._path_times(np.array([sum(skip for skip, _ in arcs)]), np.array([steps]),
-                            np.empty((1, 32), np.int64))
+    times = perturb._batch_path_times(np.array([sum(skip for skip, _ in arcs)]),
+                                      np.array([steps]), np.empty((1, 32), np.int64))
     half = getattr(ls.propagate_halves(layout), side)
     assert isinstance(half, sim.Chain)
     assert (half.least, half.span) == (least, span)
@@ -190,7 +192,7 @@ def test_half_times_match_the_int64_enumerator_on_both_sides_of_2_31(epsilon, sp
     assert paths.tolist() == (times[0] - least).tolist()
     expected = {sum(skip for skip, _ in arcs) + s: c for s, c in subset_sums(steps).items()}
     counted = half.counted()
-    assert {counted.least + t: c for t, c in counted.items()} == expected
+    assert {counted.least + t: c for t, c in arrivals(counted).items()} == expected
 
 
 def latest_path(halves):
@@ -285,7 +287,7 @@ def test_sparse_path_handles_values_too_long_to_pack():
         inst = ls.Instance.from_values([a, a], 2 * a)
         profile = ls.propagate(ls.compile_layout(inst, P))
         assert profile.times.dtype == np.int64
-        assert dict(profile.items()) == {2: 1, a + 2: 2, 2 * a + 2: 1}
+        assert arrivals(profile) == {2: 1, a + 2: 2, 2 * a + 2: 1}
     with pytest.raises(ls.Overflow):
         ls.Instance.from_values([5 * 10**18] * 2, 10**19)
 
@@ -305,7 +307,7 @@ def halves_of(layout, per_slot, monkeypatch):
     if per_slot[0] == per_slot[1]:
         monkeypatch.setattr(sim, "DENSE_PATHS_PER_SLOT", per_slot[0])
         return ls.propagate_halves(layout)
-    arcs = sim._arcs(layout)
+    arcs = sim.arcs_of(layout)
     chains = []
     for part, value in zip((arcs[: len(arcs) // 2], arcs[len(arcs) // 2 :]), per_slot):
         monkeypatch.setattr(sim, "DENSE_PATHS_PER_SLOT", value)
@@ -335,11 +337,11 @@ def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, per_slot,
             else:
                 layout = ls.compile_layout(inst, ls.PhysicalParams(offset_k_quanta=k))
             split = halves_of(layout, per_slot, monkeypatch)
-            whole = dict(ls.propagate(layout).items())
+            whole = arrivals(ls.propagate(layout))
             assert (split.left.stage_index, split.right.stage_index) == (n // 2, n - n // 2)
             kinds = [isinstance(half, sim.Chain) for half in (split.left, split.right)]
             assert kinds == [value > 0 for value in per_slot]
-            arcs = sim._arcs(layout)
+            arcs = sim.arcs_of(layout)
             least, span = sum(map(min, arcs)), sum(abs(take - skip) for skip, take in arcs)
             assert split.left.least + split.right.least == least
             assert split.left.span + split.right.span == span
@@ -365,15 +367,16 @@ def test_split_count_equals_the_whole_profile_at_every_moment(epsilon, per_slot,
             for lo in range(-2, span + 2, 3):
                 hi = lo + rng.randint(0, 2)
                 expected = any(least + t in whole for t in range(lo, hi + 1))
-                hits = sim._pairs_within(relative, n // 2, lo, hi, keep, tagged, whole_paths)
+                hits = perturb._pairs_within(relative, n // 2, lo, hi, keep, tagged, whole_paths)
                 assert hits.tolist() == [expected, expected], (layout, lo, hi)
 
 
 @pytest.mark.parametrize("chains", [1, 3])
 def test_path_times_follow_subset_order(chains):
-    # one chain steps by Python ints, a batch by columns from its base and
-    # steps, here into a column slice of a wider buffer; path p takes stage
-    # s's take arc when bit s of p is set
+    # one chain, as sim enumerates an exact half, steps by Python ints; a
+    # batch, as perturb enumerates a chunk of trials' halves, by columns from
+    # its bases and steps, here into a column slice of a wider buffer; path p
+    # takes stage s's take arc when bit s of p is set
     rng = random.Random(chains)
     for stages in range(7):
         arcs = np.array([[[rng.randint(1, 10**12) for _ in range(2)] for _ in range(stages)]
@@ -386,8 +389,9 @@ def test_path_times_follow_subset_order(chains):
             times = sim._path_times(sum(skips), steps, np.empty(1 << stages, np.int64))[None]
         else:
             wide = np.zeros((chains, 3 + (1 << stages)), np.int64)
-            times = sim._path_times(arcs[:, :, 0].sum(axis=1), arcs[:, :, 1] - arcs[:, :, 0],
-                                    wide[:, 2 : 2 + (1 << stages)])
+            times = perturb._batch_path_times(arcs[:, :, 0].sum(axis=1),
+                                              arcs[:, :, 1] - arcs[:, :, 0],
+                                              wide[:, 2 : 2 + (1 << stages)])
             assert not wide[:, :2].any() and not wide[:, -1].any()
         assert times.tolist() == expected
 
@@ -441,6 +445,7 @@ def test_path_cap_counts_paths_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
     monkeypatch.setattr(sim, "_path_times", never)
+    monkeypatch.setattr(perturb, "_batch_path_times", never)
     with pytest.raises(ls.ResourceLimit, match=r"2\^4") as whole:
         ls.propagate(ls.compile_layout(ls.Instance.from_values([10**9] * 4, 0), P))
     inst = ls.Instance.from_values([10**9] * 8, 0)
@@ -571,14 +576,14 @@ def test_offset_choice_changes_moment_never_verdict(values, target):
 def test_epsilon_profile_contains_the_masquerading_moment():
     inst = ls.Instance.from_values([5, 9, 10, 11], 8)
     profile = ls.propagate(ls.compile_epsilon_layout(inst, 1))
-    assert dict(profile.items()).get(8, 0) >= 1  # a_1 + 3*epsilon, not a subset sum
+    assert arrivals(profile).get(8, 0) >= 1  # a_1 + 3*epsilon, not a subset sum
 
 
 def test_epsilon_profile_empty_and_single():
     empty = ls.propagate(ls.compile_epsilon_layout(ls.Instance.from_values([], 0), 1))
-    assert dict(empty.items()) == {0: 1}
+    assert arrivals(empty) == {0: 1}
     single = ls.propagate(ls.compile_epsilon_layout(ls.Instance.from_values([2], 1), 1))
-    assert dict(single.items()) == {1: 1, 2: 1}
+    assert arrivals(single) == {1: 1, 2: 1}
 
 
 def test_epsilon_demo_spurious_yes():
@@ -601,6 +606,20 @@ def test_epsilon_demo_agreement_cases(values, target):
 
 
 # --- perturbation ------------------------------------------------------------
+
+def test_the_exact_device_draws_no_random_numbers():
+    # perturbation is an experiment run on the device: sim, the device,
+    # neither draws nor runs trials, and reaches nothing in perturb
+    assert not hasattr(sim, "random")
+    assert not hasattr(sim, "perturb_and_classify")
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(sim))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+            imported.add(getattr(node, "module", None))
+    assert not imported & {"random", "perturb", "lightsum.perturb", "perturb_and_classify"}
+    assert perturb.perturb_and_classify is ls.perturb_and_classify
+
 
 def perturb_values(values, target, max_error_m, trials, seed, params=P):
     inst = ls.Instance.from_values(values, target)
@@ -649,7 +668,7 @@ def test_perturbation_rejects_lengths_that_can_go_non_positive():
 def test_perturbation_path_cap_is_read_when_called(monkeypatch):
     # one trial of 5 stages, which the path on the target decides, draws 10
     # errors, more than the 4 the cap leaves beside the fixed charge per trial
-    monkeypatch.setattr(sim, "MAX_PERTURB_ARRIVALS", sim.PERTURB_TRIAL_ARRIVALS + 4)
+    monkeypatch.setattr(perturb, "MAX_PERTURB_ARRIVALS", perturb.PERTURB_TRIAL_ARRIVALS + 4)
     with pytest.raises(ls.ResourceLimit):
         perturb_values([1, 1, 1, 1, 1], 4, 0, 1, seed=0)
 
@@ -669,11 +688,11 @@ def test_perturbation_cap_charges_each_trial_a_fixed_cost():
 ], ids=["decided", "enumerating"])
 def test_perturbation_cap_charges_what_a_trial_costs(error, charge, monkeypatch):
     # 10 trials fill a cap of exactly their charge, and pass one below it
-    cap = 10 * (charge + sim.PERTURB_TRIAL_ARRIVALS)
+    cap = 10 * (charge + perturb.PERTURB_TRIAL_ARRIVALS)
     cut = Fraction(error) * P.quantum_length_m
-    monkeypatch.setattr(sim, "MAX_PERTURB_ARRIVALS", cap)
+    monkeypatch.setattr(perturb, "MAX_PERTURB_ARRIVALS", cap)
     assert perturb_values([1, 2, 3], 5, cut, 10, seed=0).trials == 10
-    monkeypatch.setattr(sim, "MAX_PERTURB_ARRIVALS", cap - 1)
+    monkeypatch.setattr(perturb, "MAX_PERTURB_ARRIVALS", cap - 1)
     with pytest.raises(ls.ResourceLimit, match="10 trials"):
         perturb_values([1, 2, 3], 5, cut, 10, seed=0)
 
@@ -684,13 +703,17 @@ def test_prepass_enumerates_no_path_of_dense_halves_that_decide_every_trial(monk
     # half a quantum, so the exact halves decide every trial: a subset on the
     # target always detects, and even values never reach an odd target
     calls = []
-    path_times = sim._path_times
 
-    def recorded(arcs, *out):
-        calls.append(arcs.shape)
-        return path_times(arcs, *out)
+    def recorded(path_times):
+        def call(base, steps, out):
+            calls.append(out.shape)
+            return path_times(base, steps, out)
 
-    monkeypatch.setattr(sim, "_path_times", recorded)
+        return call
+
+    # the row enumerator of the exact halves and the batch one of the trials
+    monkeypatch.setattr(sim, "_path_times", recorded(sim._path_times))
+    monkeypatch.setattr(perturb, "_batch_path_times", recorded(perturb._batch_path_times))
     rng = random.Random(40)
     mixed = [rng.randint(1, 100) for _ in range(40)]
     evens = [2 * rng.randint(1, 50) for _ in range(40)]
@@ -712,12 +735,12 @@ def perturb_outcome(values, target, span, trials, seed, k=1):
     perturbation_outcome gives it, or None when it refuses an error past the
     shortest cable."""
     params = ls.PhysicalParams(offset_k_quanta=k)
-    error = Fraction(span, sim.PERTURB_GRID) * params.quantum_length_m
+    error = Fraction(span, perturb.PERTURB_GRID) * params.quantum_length_m
     try:
         report = perturb_values(values, target, error, trials, seed, params)
     except ls.InvalidValue:
         return None
-    drift = report.max_arrival_error_s * sim.PERTURB_GRID / params.delay_quantum_s
+    drift = report.max_arrival_error_s * perturb.PERTURB_GRID / params.delay_quantum_s
     return report.misclassified, report.false_positives, report.false_negatives, drift
 
 
@@ -727,7 +750,7 @@ def test_perturbation_matches_a_naive_reference_on_small_devices():
     # exactly half a quantum; an error past the shortest cable, k quanta, is
     # refused, and every other is compared with the reference
     rng = random.Random(17)
-    grid = sim.PERTURB_GRID
+    grid = perturb.PERTURB_GRID
     for _ in range(120):
         n = rng.randint(0, 8)
         pool = [rng.randint(1, rng.choice([2, 5, 30])) for _ in range(rng.randint(1, 3))]
@@ -789,7 +812,7 @@ def test_perturbation_matches_the_reference_on_any_layout():
     # keeps some of its paths marks them by their subset order, whichever
     # way its steps go.
     rng = random.Random(29)
-    grid = sim.PERTURB_GRID
+    grid = perturb.PERTURB_GRID
     for _ in range(60):
         n, epsilon, k = rng.randint(1, 8), rng.randint(1, 6), rng.randint(1, 3)
         values = [rng.randint(1, 12) for _ in range(n)]
@@ -801,7 +824,7 @@ def test_perturbation_matches_the_reference_on_any_layout():
         report = ls.perturb_and_classify(layout, inst, params,
                                          Fraction(span, grid) * params.quantum_length_m, 24, seed)
         drift = report.max_arrival_error_s * grid / params.delay_quantum_s
-        expected = cut_outcome(sim._arcs(layout), target + n * k, has_subset_sum(values, target),
+        expected = cut_outcome(sim.arcs_of(layout), target + n * k, has_subset_sum(values, target),
                                span, grid, 24, seed)
         got = (report.misclassified, report.false_positives, report.false_negatives, drift)
         assert got == expected, (values, target, epsilon, k, span)
@@ -819,7 +842,7 @@ def test_perturbation_matches_the_reference_on_both_sides_of_the_int32_trials(to
     # largest term, at the same top + 1 quanta. Targets on, beside and past
     # the sums run trials that keep some half-paths, and some trials
     # misclassify. The offset k enters no bound, so it runs to 10^6.
-    grid, span = sim.PERTURB_GRID, sim.PERTURB_GRID // 4
+    grid, span = perturb.PERTURB_GRID, perturb.PERTURB_GRID // 4
     misclassified = 0
     for total, targets in ((top - 2, (500, 501, top - 3, top - 2)), (top - 3, (top - 1,))):
         values = [100, 150, 170, 190, 210, total - 820]
@@ -836,13 +859,13 @@ def test_perturbation_matches_the_reference_on_both_sides_of_the_int32_trials(to
 
 
 @pytest.mark.parametrize("values,target,span", [
-    ([19, 1054, 28], 1074, sim.PERTURB_GRID // 4),
-    ([3, 1095, 18, 9, 23], 22, sim.PERTURB_GRID // 10),
+    ([19, 1054, 28], 1074, perturb.PERTURB_GRID // 4),
+    ([3, 1095, 18, 9, 23], 22, perturb.PERTURB_GRID // 10),
 ])
 def test_perturbation_past_the_int32_bound_matches_the_reference(values, target, span):
     # spans of 1101 and 1148 quanta: a trial's doubled keys and times,
     # measured from the earliest exact path, pass 2^31 grid units
-    expected = perturbation_outcome(values, target, 1, span, sim.PERTURB_GRID, 20, seed=1)
+    expected = perturbation_outcome(values, target, 1, span, perturb.PERTURB_GRID, 20, seed=1)
     assert perturb_outcome(values, target, span, 20, 1) == expected
 
 
@@ -860,20 +883,20 @@ def test_trials_read_a_proper_subset_on_one_side_at_odd_n(values, target, whole_
     # n = 9: the right half has one stage more; cut within a quarter
     # quantum, 9 cables drift up to 2.25 quanta
     kept = []
-    candidates = sim._candidates
+    candidates = perturb._candidates
 
     def recorded(half, *args):
         kept.append(candidates(half, *args))
         return kept[-1]
 
-    monkeypatch.setattr(sim, "_candidates", recorded)
-    span = sim.PERTURB_GRID // 4
-    expected = perturbation_outcome(values, target, 1, span, sim.PERTURB_GRID, 40, seed=3)
+    monkeypatch.setattr(perturb, "_candidates", recorded)
+    span = perturb.PERTURB_GRID // 4
+    expected = perturbation_outcome(values, target, 1, span, perturb.PERTURB_GRID, 40, seed=3)
     assert expected[0] > 0
     for per_chunk in (None, 1, 3):
         with monkeypatch.context() as m:
             if per_chunk:
-                m.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk_of(per_chunk, len(values)))
+                m.setattr(perturb, "PERTURB_CHUNK_ARRIVALS", chunk_of(per_chunk, len(values)))
             assert perturb_outcome(values, target, span, 40, 3) == expected
     whole, subset = kept[whole_side], kept[1 - whole_side]
     assert whole is None
@@ -882,8 +905,8 @@ def test_trials_read_a_proper_subset_on_one_side_at_odd_n(values, target, whole_
 
 def test_every_trial_detects_a_path_on_the_target_while_n_errors_fit_the_window():
     # 4 stages cut within an eighth of a quantum drift by at most half a quantum
-    span = sim.PERTURB_GRID // 8
-    expected = perturbation_outcome([1, 2, 3, 4], 5, 1, span, sim.PERTURB_GRID, 200, 4)
+    span = perturb.PERTURB_GRID // 8
+    expected = perturbation_outcome([1, 2, 3, 4], 5, 1, span, perturb.PERTURB_GRID, 200, 4)
     assert perturb_outcome([1, 2, 3, 4], 5, span, 200, seed=4) == expected
     assert expected[0] == 0
 
@@ -895,9 +918,9 @@ def test_the_count_at_the_moment_decides_trials_within_the_drift_bound(monkeypat
     def refused(*args):
         raise AssertionError("counted a half or read a band")
 
-    monkeypatch.setattr(sim, "_partnered", refused)
+    monkeypatch.setattr(perturb, "_partnered", refused)
     monkeypatch.setattr(sim.Chain, "counted", refused)
-    grid = sim.PERTURB_GRID
+    grid = perturb.PERTURB_GRID
     for values, target, span, epsilon in (
         ([1, 2, 3, 4], 5, grid // 10, None),  # YES: 4 cuts drift 0.4 quantum at most
         ([2, 4], 3, grid // 5, None),  # NO
@@ -911,7 +934,7 @@ def test_the_count_at_the_moment_decides_trials_within_the_drift_bound(monkeypat
         report = ls.perturb_and_classify(layout, inst, P,
                                          Fraction(span, grid) * P.quantum_length_m, 50, 4)
         drift = report.max_arrival_error_s * grid / P.delay_quantum_s
-        expected = cut_outcome(sim._arcs(layout), target + len(values),
+        expected = cut_outcome(sim.arcs_of(layout), target + len(values),
                                has_subset_sum(values, target), span, grid, 50, 4)
         got = (report.misclassified, report.false_positives, report.false_negatives, drift)
         assert got == expected, (values, target, epsilon)
@@ -944,7 +967,7 @@ BAND_EDGES = {
 
 @pytest.mark.parametrize("grid", sorted(BAND_EDGES))
 def test_perturbation_band_edges_match_the_reference(grid, monkeypatch):
-    monkeypatch.setattr(sim, "PERTURB_GRID", grid)
+    monkeypatch.setattr(perturb, "PERTURB_GRID", grid)
     sure, *edges = (
         perturbation_outcome(values, target, k, span, grid, 300, seed=9)
         for values, target, k, span in BAND_EDGES[grid]
@@ -1041,7 +1064,7 @@ def test_perturbation_reports_do_not_depend_on_the_chunk_size(values, target, ex
             for decided in (False, True):
                 with monkeypatch.context() as m:
                     chunk = chunk_of(per_chunk, len(values), decided)
-                    m.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk)
+                    m.setattr(perturb, "PERTURB_CHUNK_ARRIVALS", chunk)
                     assert perturb_values(values, target, error, 40, seed) == default
 
 
@@ -1054,14 +1077,14 @@ def test_an_error_past_the_shortest_cable_is_refused_before_anything_runs(monkey
 
     for k in (1, 3):
         params = ls.PhysicalParams(offset_k_quanta=k)
-        error = (k + Fraction(1, sim.PERTURB_GRID)) * params.quantum_length_m
+        error = (k + Fraction(1, perturb.PERTURB_GRID)) * params.quantum_length_m
         assert perturb_values([1, 1, 1], 4, k * params.quantum_length_m, 40, 2,
                               params).trials == 40
         with monkeypatch.context() as m:
-            m.setattr(sim, "propagate_halves", never)
-            m.setattr(sim, "_uniform_draws", never)
+            m.setattr(perturb, "propagate_halves", never)
+            m.setattr(perturb, "_uniform_draws", never)
             for per_chunk in (1, 7, 64):
-                m.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk_of(per_chunk, 3))
+                m.setattr(perturb, "PERTURB_CHUNK_ARRIVALS", chunk_of(per_chunk, 3))
                 for seed, trials in ((2, 1), (2, 40), (4, 16), (13, 1000)):
                     with pytest.raises(ls.InvalidValue, match="shortest cable"):
                         perturb_values([1, 1, 1], 4, error, trials, seed, params)
@@ -1074,7 +1097,7 @@ def test_bulk_draws_are_the_draws_of_randint(span):
     # 32-bit words. A take of one leaves the rest of its batch pending, and
     # the odd and the long takes after it start from what is left over.
     for seed in (0, 1, 2024):
-        take = sim._uniform_draws(random.Random(seed), span)
+        take = perturb._uniform_draws(random.Random(seed), span)
         twin = random.Random(seed)
         for count in (1, 7, 1001, 1, 3):
             expected = [twin.randint(-span, span) for _ in range(count)]
@@ -1093,7 +1116,7 @@ def test_chunks_stay_within_one_int64_axis(monkeypatch):
         report = perturb_values(values, target, error, 100, seed=3)
         assert (report.misclassified, report.false_positives, report.false_negatives) == pinned
         with monkeypatch.context() as m:
-            m.setattr(sim, "PERTURB_CHUNK_ARRIVALS", chunk_of(1, len(values)))
+            m.setattr(perturb, "PERTURB_CHUNK_ARRIVALS", chunk_of(1, len(values)))
             assert perturb_values(values, target, error, 100, seed=3) == report
 
 
@@ -1117,22 +1140,22 @@ def test_perturbation_bounds_the_longest_path_less_a_window_below_the_origin():
     # path is 2^62 - 387904 grid units, and that distance passes 2^62, past
     # which a doubled key overflows int64. One quantum shorter, the trials
     # run, and match the reference.
-    grid, span = sim.PERTURB_GRID, sim.PERTURB_GRID // 4
+    grid, span = perturb.PERTURB_GRID, perturb.PERTURB_GRID // 4
     error = Fraction(span, grid) * P.quantum_length_m
     for a in (4611686018428, 4611686018427):
         inst = ls.Instance.from_values([a, 2], 1)
         layout = ls.compile_epsilon_layout(inst, 2)
         top_g = (a - 2) * grid + 4 * span
         bottom_g = -grid + 2 * span - grid // 2
-        assert top_g < sim.MAX_DELAY_QUANTA
-        assert (top_g - bottom_g >= sim.MAX_DELAY_QUANTA) == (a == 4611686018428)
+        assert top_g < model.MAX_DELAY_QUANTA
+        assert (top_g - bottom_g >= model.MAX_DELAY_QUANTA) == (a == 4611686018428)
         if a == 4611686018428:
             with pytest.raises(ls.ResourceLimit, match="grid"):
                 ls.perturb_and_classify(layout, inst, P, error, 200, 0)
         else:
             report = ls.perturb_and_classify(layout, inst, P, error, 200, 0)
             drift = report.max_arrival_error_s * grid / P.delay_quantum_s
-            expected = cut_outcome(sim._arcs(layout), 3, False, span, grid, 200, 0)
+            expected = cut_outcome(sim.arcs_of(layout), 3, False, span, grid, 200, 0)
             assert (report.misclassified, report.false_positives, report.false_negatives,
                     drift) == expected
 
