@@ -43,7 +43,7 @@ from .model import (
     load_instance_file,
     normalize,
 )
-from .oracles import solve_auto, solve_dp, solve_mitm
+from .oracles import solve_auto
 from .perturb import perturb_and_classify
 from .rational import fraction_str, to_fraction
 from .sim import (
@@ -67,13 +67,6 @@ MAX_REPORT_DIGITS = 250_000
 
 # json's ASCII string encoder, written in C where the interpreter has it.
 _quote = json.encoder.encode_basestring_ascii
-
-ORACLES = {
-    "dp": solve_dp,
-    "mitm": solve_mitm,
-    "auto": solve_auto,
-}
-
 
 # Built once per process: building it costs about 20 times what a parse does.
 # The parser holds no functions; main looks the command up when it runs.
@@ -99,8 +92,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("solve", parents=[shared],
                        help="decide the instance and cross-check against an oracle")
-    p.add_argument("--oracle", choices=sorted(ORACLES), default="auto",
-                   help="reference solver (default auto)")
     p.add_argument("--dump-profile", default=None, metavar="PATH",
                    help="write the arrival profile as '<time> <count>' lines")
     p.add_argument("--max-cable-m", default=None, metavar="METERS",
@@ -264,7 +255,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     layout = timed("compile", compile_layout, instance, params)
     halves = timed("propagate", propagate_halves, layout)
     detection = timed("detect", detect, halves, instance, params)
-    oracle = timed("oracle", ORACLES[args.oracle], instance)
+    oracle = timed("oracle", solve_auto, instance)
     agreement = detection.verdict is oracle.verdict
     feasibility = None
     if args.max_cable_m is not None:
@@ -331,10 +322,7 @@ def cmd_demo_epsilon(args: argparse.Namespace) -> int:
 
 def cmd_perturb(args: argparse.Namespace) -> int:
     instance, params = _load(args)
-    layout = compile_layout(instance, params)
-    report = perturb_and_classify(
-        layout, instance, params, args.max_error_m, args.trials, args.seed
-    )
+    report = perturb_and_classify(instance, params, args.max_error_m, args.trials, args.seed)
     sys.stdout.write(_render(report))
     return EXIT_OK
 

@@ -19,10 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidValue, ResourceLimit
-from .model import MAX_DELAY_QUANTA, DeviceLayout, Instance, PhysicalParams, Verdict
+from .model import MAX_DELAY_QUANTA, Instance, PhysicalParams, Verdict, compile_layout
 from .oracles import solve_auto
 from .rational import RationalLike, to_fraction
-from .sim import ArrivalProfile, Chain, arcs_of, as_chain, check_paths, propagate_halves, time_dtype
+from .sim import ArrivalProfile, Chain, check_paths, propagate_halves, time_dtype
 
 # Perturbed cable lengths live on a grid of quantum_length / PERTURB_GRID so
 # trial classification is exact integer arithmetic end to end.
@@ -80,18 +80,19 @@ def _partnered(own: np.ndarray, other: np.ndarray, lo: int, hi: int) -> np.ndarr
     return ((i < len(other)) & (first <= keys + (hi - lo)))[::-1]
 
 
-def _candidates(half: ArrivalProfile, near: np.ndarray, arcs: Sequence[tuple[int, int]]
+def _candidates(half: ArrivalProfile, near: np.ndarray, values: Sequence[int]
                 ) -> np.ndarray | None:
-    """The subset-order indices of the chain's paths whose time is a `near` one.
+    """The subset-order indices of the half's paths whose time is a `near` one.
 
-    `half` holds the distinct times and the paths at each of the chain
-    `arcs`, and `near` marks some of its times, at least one. None when at
-    least half of the paths qualify: finding a subset costs more than so
-    small a saving. Only a proper subset enumerates the chain's paths.
+    `half` holds the distinct times, from its earliest path, and the paths
+    at each of the offset device's half of the stage `values`, and `near`
+    marks some of its times, at least one. None when at least half of the
+    paths qualify: finding a subset costs more than so small a saving. Only
+    a proper subset enumerates the half's paths, its subset sums.
     """
-    if 2 * int(half.counts[near].sum()) >= 1 << len(arcs):
+    if 2 * int(half.counts[near].sum()) >= 1 << len(values):
         return None
-    paths = as_chain(arcs).path_times()
+    paths = Chain(least=0, base=0, steps=list(values), span=sum(values)).path_times()
     near_times = half.times[near]
     i = np.minimum(np.searchsorted(near_times, paths), len(near_times) - 1)
     return np.flatnonzero(near_times[i] == paths)
@@ -115,9 +116,9 @@ def _pairs_within(arcs: np.ndarray, cut: int, lo: int, hi: int,
     right time of least gap above its key directly follows a key: a row hits
     when some key is directly followed by a right time within 2(hi - lo) + 1.
 
-    The trials' arcs are non-negative, so every time is too, and the tagged
-    values, those the enumeration passes through included, and each gap from
-    a key up to a right time lie within 2 max(L, hi, L - lo) + 1 for L the
+    The trials' arcs and `lo` are non-negative, so every time is too, and the
+    tagged values, those the enumeration passes through included, and each
+    gap from a key up to a right time lie within 2 max(L, hi) + 1 for L the
     longest path, which the trials keep below 2^62, and below 2^31 when
     `tagged` is int32. A gap that passes the dtype is between two keys, two
     right times or from a right time to a key, and is never read.
@@ -197,14 +198,14 @@ class PerturbationReport:
 
 
 def perturb_and_classify(
-    layout: DeviceLayout,
     instance: Instance,
     params: PhysicalParams,
     max_error_m: RationalLike,
     trials: int,
     rng_seed: int,
 ) -> PerturbationReport:
-    """Cut every cable with a uniform length error and re-run the detection.
+    """Cut every cable of the instance's offset device with a uniform length
+    error and re-run the detection.
 
     Errors are drawn on a grid of quantum_length / 1e6 so arrival times stay
     exact integers in grid units. An arrival registers as the target moment
@@ -216,9 +217,10 @@ def perturb_and_classify(
     `random.Random(rng_seed).randint` draws them, trial by trial, stage by
     stage, skip arc before take arc, whatever the chunk size.
 
-    A trial measures each stage's arcs from its shorter exact arc less the
-    largest error, so its times are non-negative and are read, as the exact
-    halves are, from the earliest exact path: the offset k enters no bound.
+    A trial measures each stage's arcs from its skip arc of k quanta less
+    the largest error, so its times are non-negative and are read, as the
+    exact halves are, from the earliest exact path, n * k quanta: the
+    moment lies B quanta past it, and the offset k enters no bound.
     A perturbed path lies within n * error of its exact time. So the run
     first propagates the exact halves (`propagate_halves`). While n * error
     is at most half a quantum, a path on the target lands within half a
@@ -230,7 +232,7 @@ def perturb_and_classify(
     n * error; an enumerated half writes its path times from its chain, and
     sorts and counts them, once for this. The ray counts of the candidate
     times tell whether a half keeps a proper subset of its paths; only then
-    are its exact paths enumerated again to mark which. Trials run
+    are its subset sums enumerated again to mark which. Trials run
     PERTURB_CHUNK_ARRIVALS // 2^ceil(n/2) at a time, or
     PERTURB_CHUNK_ARRIVALS // 8n when the exact halves decide them (at least
     one). A chunk draws its errors; unless some pair always detects or none
@@ -238,26 +240,30 @@ def perturb_and_classify(
     one buffer and reads the window from the candidates alone.
 
     Every refusal comes before the first draw: once a run draws, it answers.
+    Overflow: a device whose longest path reaches MAX_DELAY_QUANTA quanta,
+    refused as `compile_layout` refuses it, before anything else is read.
     ParseError or Overflow: a max error that `to_fraction` refuses.
     InvalidValue: a negative max error, fewer than one trial, a nonzero max
     error finer than the grid (rather than read as zero), or one past the
-    shortest cable, k quanta on the offset device. Up to that bound no draw
-    cuts a cable below zero, and a cable cut to exactly zero delays its ray
-    by 0. ResourceLimit: a longest perturbed path or a window edge
-    that could lie MAX_DELAY_QUANTA grid units from where the trials' times
-    start, where int64 times would overflow; a half past the path cap that
-    detection checks, or past a cap of `propagate_halves`; and, after the
-    pre-pass, a run whose trials, each charged PERTURB_TRIAL_ARRIVALS plus
-    both halves' 2^floor(n/2) + 2^ceil(n/2) arrivals when the trials
-    enumerate and its 2n drawn errors when the exact halves decide them,
-    pass MAX_PERTURB_ARRIVALS, or an oracle past its own cap.
+    shortest cable, the skip arcs of k quanta. Up to that bound no draw cuts
+    a cable below zero, and a cable cut to exactly zero delays its ray by 0.
+    ResourceLimit: a longest perturbed path or a window edge that could lie
+    MAX_DELAY_QUANTA grid units from where the trials' times start, where
+    int64 times would overflow; a half past the path cap that detection
+    checks, or past a cap of `propagate_halves`; and, after the pre-pass, a
+    run whose trials, each charged PERTURB_TRIAL_ARRIVALS plus both halves'
+    2^floor(n/2) + 2^ceil(n/2) arrivals when the trials enumerate and its 2n
+    drawn errors when the exact halves decide them, pass
+    MAX_PERTURB_ARRIVALS, or an oracle past its own cap.
     """
+    layout = compile_layout(instance, params)
     max_error = to_fraction(max_error_m)
     if max_error < 0:
         raise InvalidValue("max_error_m must be >= 0")
     if trials < 1:
         raise InvalidValue("trials must be >= 1")
-    n = len(layout.stages)
+    values, target, k = instance.values, instance.target, params.offset_k_quanta
+    n = len(values)
     cut, half = n // 2, (n + 1) // 2
 
     # Everything below is integer arithmetic in grid units of quantum/1e6.
@@ -266,21 +272,16 @@ def perturb_and_classify(
         raise InvalidValue(
             f"max_error_m is finer than the perturbation grid of quantum_length/{PERTURB_GRID}"
         )
-    # No draw cuts a cable below zero while err_span is at most the shortest
-    # cable, k quanta on the offset device; a cable cut to exactly zero
-    # delays its ray by 0.
-    exact = arcs_of(layout)
-    shortest = min(map(min, exact), default=0)
-    if n and err_span > shortest * PERTURB_GRID:
-        raise InvalidValue(f"max_error_m passes the shortest cable, {shortest} * quantum_length")
-    # The moment in quanta from the earliest exact path, where the exact
-    # halves' times start, and the window in the trials' grid times, which
-    # start n * err_span below it. Both are read before anything propagates.
-    moment = instance.target + n * params.offset_k_quanta - sum(map(min, exact))
+    if n and err_span > k * PERTURB_GRID:
+        raise InvalidValue(f"max_error_m passes the shortest cable, {k} * quantum_length")
+    # The window in the trials' grid times, which start n * err_span below the
+    # earliest exact path. A window starting below them, at B = 0 with n *
+    # err_span below window_g, is never read: the empty subset lies on the
+    # moment and decides every trial.
     window_g = PERTURB_GRID // 2
-    target_g = moment * PERTURB_GRID + n * err_span
-    top_g = sum(abs(take - skip) for skip, take in exact) * PERTURB_GRID + 2 * n * err_span
-    bound = max(top_g, target_g + window_g, top_g - target_g + window_g)
+    target_g = target * PERTURB_GRID + n * err_span
+    top_g = instance.total * PERTURB_GRID + 2 * n * err_span
+    bound = max(top_g, target_g + window_g)
     if bound >= MAX_DELAY_QUANTA:
         raise ResourceLimit(
             f"perturbed arrival times could reach {MAX_DELAY_QUANTA} grid units "
@@ -289,7 +290,7 @@ def perturb_and_classify(
     check_paths(half)
 
     # A perturbed path lies within n*err_span grid units of its exact time of
-    # S quanta, so it can land in the window only when |S - moment| <= near.
+    # S quanta, so it can land in the window only when |S - B| <= near.
     # While n*err_span is at most window_g, a path on the moment lands there
     # in every trial: a ray counted there decides them all. Below window_g,
     # near is 0 and a count of 0 decides too. Otherwise the halves are
@@ -297,17 +298,16 @@ def perturb_and_classify(
     # them) and read for the pairs within near of the moment.
     near = (window_g + n * err_span) // PERTURB_GRID
     halves = propagate_halves(layout)
-    checked = instance.target + n * params.offset_k_quanta
-    always = n * err_span <= window_g and halves.count_at(checked) > 0
+    always = n * err_span <= window_g and halves.count_at(target + n * k) > 0
     candidates = None
     if near and not always:
         left, right = (h.counted() if isinstance(h, Chain) else h
                        for h in (halves.left, halves.right))
-        near_left = _partnered(left.times, right.times, moment - near, moment + near)
+        near_left = _partnered(left.times, right.times, target - near, target + near)
         if near_left.any():
-            near_right = _partnered(right.times, left.times, moment - near, moment + near)
-            candidates = (_candidates(left, near_left, exact[:cut]),
-                          _candidates(right, near_right, exact[cut:]))
+            near_right = _partnered(right.times, left.times, target - near, target + near)
+            candidates = (_candidates(left, near_left, values[:cut]),
+                          _candidates(right, near_right, values[cut:]))
 
     # A trial the exact halves decide draws its errors and enumerates nothing.
     # A chunk holds about PERTURB_CHUNK_ARRIVALS arrivals a half or, when the
@@ -327,12 +327,11 @@ def perturb_and_classify(
 
     chunk = min(trials, max(1, PERTURB_CHUNK_ARRIVALS // max(size, 1)))
     if candidates is not None:
-        # Each arc from its stage's shorter arc less err_span. The buffers
-        # serve every chunk: fresh ones each chunk fault in new pages on every
-        # call. Every value _pairs_within forms lies within twice the bound,
-        # plus one, which picks their width.
-        exact_q = np.array(exact, dtype=np.int64).reshape(n, 2)
-        arcs_g = (exact_q - exact_q.min(axis=1, keepdims=True)) * PERTURB_GRID + err_span
+        # Skip arcs of err_span, take arcs of a * PERTURB_GRID + err_span. The
+        # buffers serve every chunk: fresh ones each chunk fault in new pages
+        # on every call. Every value _pairs_within forms lies within twice the
+        # bound, plus one, which picks their width.
+        arcs_g = np.array([(0, a) for a in values], dtype=np.int64) * PERTURB_GRID + err_span
         dtype = time_dtype(2 * bound + 1)
         stages = (cut, half)
         width = sum(1 << s if keep is None else len(keep) for s, keep in zip(stages, candidates))

@@ -27,8 +27,8 @@ for a dump) as plain times, which they sort and count, each run of equal
 times in uint64. Each array of times takes its width from a bound the code
 already has, and is int32 below 2^31: a chain's span for its enumeration;
 twice the halves' spans, plus two, for detection's tagged sort; and for the
-trials (`perturb`) twice the largest of the longest perturbed path, the
-window top, and that path less the window bottom, plus one. Otherwise it is
+trials (`perturb`) twice the larger of the longest perturbed path and the
+window top, plus one. Otherwise it is
 int64, below 2^62: a layout's longest path is below model.MAX_DELAY_QUANTA
 = 2^62, and a perturbed device is checked against the same bound in grid
 units. Counted profiles keep int64 times, and the whole profile folds

@@ -163,8 +163,7 @@ def test_criterion_7_perturbation_robustness():
         worst = 0
         for values, target in cases:
             inst = ls.Instance.from_values(values, target)
-            layout = ls.compile_layout(inst, P)
-            rep = ls.perturb_and_classify(layout, inst, P, max_error_m, trials, seed)
+            rep = ls.perturb_and_classify(inst, P, max_error_m, trials, seed)
             worst = max(worst, rep.misclassified)
         return worst
 
@@ -173,16 +172,13 @@ def test_criterion_7_perturbation_robustness():
     sub_half_ok = True
     for values, target in cases:
         inst = ls.Instance.from_values(values, target)
-        layout = ls.compile_layout(inst, P)
         budget = P.quantum_length_m / (2 * inst.n) * Fraction(99, 100)
-        rep = ls.perturb_and_classify(layout, inst, P, budget, 1000, rng_seed=2)
+        rep = ls.perturb_and_classify(inst, P, budget, 1000, rng_seed=2)
         sub_half_ok = sub_half_ok and rep.misclassified == 0
 
     crafted = ls.Instance.from_values([1, 1, 1], 4)
-    layout = ls.compile_layout(crafted, P)
-    rep = ls.perturb_and_classify(
-        layout, crafted, P, Fraction(4, 10) * P.quantum_length_m, 300, rng_seed=0
-    )
+    rep = ls.perturb_and_classify(crafted, P, Fraction(4, 10) * P.quantum_length_m, 300,
+                                  rng_seed=0)
     crafted_ok = rep.misclassified >= 1
 
     _report(

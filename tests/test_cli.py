@@ -162,14 +162,6 @@ def test_golden_reports(tmp_path, capsys, argv, expected):
     assert report == expected
 
 
-def test_solve_oracle_flag(tmp_path, capsys):
-    f = write_instance(tmp_path, {"set": [1, 2, 3], "target": 5})
-    for name, solver in [("dp", "dp"), ("mitm", "mitm")]:
-        code, report, _ = run(capsys, ["solve", f, "--oracle", name])
-        assert code == 0
-        assert report["oracle"]["solver_name"] == solver
-
-
 def test_solve_k_flag_overrides_file_params(tmp_path, capsys):
     f = write_instance(
         tmp_path, {"set": [1, 2, 3], "target": 5, "params": {"offset_k_quanta": 7}}
@@ -342,23 +334,17 @@ def test_negative_value_is_an_input_error(tmp_path, capsys):
     assert code == 3
 
 
-def test_oracle_cap_is_a_resource_error(tmp_path, capsys):
-    # a target of 1e8 passes the DP's table budget of 1e8 bits
-    f = write_instance(tmp_path, {"set": [1, 100000000], "target": 100000000})
-    code, _, err = run(capsys, ["solve", f, "--oracle", "dp"])
-    assert code == 4
-    assert "resource" in err
-
-
-def test_mitm_cap_is_a_resource_error_before_it_allocates(tmp_path, capsys):
-    # 45 unit values propagate as two dense halves, so the simulator answers;
-    # meet-in-the-middle would need 2^23 sums in one half, past its cap of
-    # 44 values, and exits 4 before allocating them
-    f = write_instance(tmp_path, {"set": [1] * 45, "target": 3})
-    code, report, err = run(capsys, ["solve", f, "--oracle", "mitm"])
-    assert code == 4
-    assert report is None
-    assert "meet-in-the-middle is capped at n <= 44, got 45" in err
+def test_no_exact_solver_is_a_resource_error(tmp_path, capsys):
+    # 45 values, past meet-in-the-middle's cap of 44, and a target of about
+    # 1.1e9, past the DP's table budget of 1e8 bits: the device answers from
+    # a left half of 22 enumerated paths and a dense right half of 23 unit
+    # values, and then no oracle can check it
+    rng = random.Random(45)
+    large = [rng.randint(10**8 - 10**6, 10**8 - 1) for _ in range(22)]
+    f = write_instance(tmp_path, {"set": large + [1] * 23, "target": sum(large[:11]) + 7})
+    code, report, err = run(capsys, ["solve", f])
+    assert (code, report) == (4, None)
+    assert "no exact solver can handle n=45" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -404,7 +390,7 @@ def test_epsilon_below_one_is_an_input_error(tmp_path, capsys, epsilon, dump):
     ["compile", "{f}", "--seed", "1"],
     ["analyze", "{f}", "--dump-profile", "{out}"],
     ["perturb", "{f}", "--max-error-m", "0", "--oracle", "brute"],
-    ["solve", "{f}", "--oracle", "brute"],
+    ["solve", "{f}", "--oracle", "mitm"],
 ])
 def test_usage_errors_are_input_errors(tmp_path, capsys, argv):
     # argparse would exit 2, which is the disagreement code
@@ -697,7 +683,7 @@ def test_solve_answers_a_target_past_the_sum_before_any_oracle_cap(tmp_path, cap
 ])
 def test_half_entries_count_distinct_times_of_repeated_paths(tmp_path, capsys, doc, entries):
     f = write_instance(tmp_path, doc)
-    code, report, _ = run(capsys, ["solve", f, "--oracle", "dp"])
+    code, report, _ = run(capsys, ["solve", f])
     assert code == 0
     assert report["stats"] == {"half_entries": entries}
 
@@ -733,7 +719,7 @@ def test_solve_reads_wide_values_from_the_halves(tmp_path, capsys):
     codes = []
     for target in (sum(values[::3]), 2 * sum(values) // 3 + 1):
         f = write_instance(tmp_path, {"set": values, "target": target})
-        code, report, _ = run(capsys, ["solve", f, "--oracle", "mitm"])
+        code, report, _ = run(capsys, ["solve", f])
         assert report["agreement"] is True
         assert report["oracle"]["solver_name"] == "mitm"
         assert code == {"YES": 0, "NO": 1}[report["simulator"]["verdict"]]
@@ -751,6 +737,7 @@ def test_delays_past_the_bound_are_input_errors(tmp_path, capsys):
         ({"set": [1, 2], "target": 3}, ["compile", "--k", str(bound)]),
         ({"set": [1, 2], "target": 3}, ["analyze", "--k", str(bound)]),
         ({"set": [1, 2], "target": 3}, ["demo-epsilon", "--epsilon", str(bound)]),
+        ({"set": [1, 2], "target": 3}, ["perturb", "--k", str(bound), "--max-error-m", "0"]),
         ({"set": [1, 2], "target": 3},
          ["analyze", "--max-cable-m", fraction_str(bound * ls.PhysicalParams().quantum_length_m)]),
     ]
@@ -883,8 +870,7 @@ def _flag(name, values):
 
 _k = _flag("--k", st.integers(1, 5) | st.integers(-1, 2**62))
 _argvs = st.one_of(
-    st.tuples(st.just(["solve"]), _k,
-              _flag("--oracle", st.sampled_from(["auto", "dp", "mitm", "brute"]))),
+    st.tuples(st.just(["solve"]), _k),
     st.tuples(st.just(["compile"]), _k),
     st.tuples(st.just(["analyze"]), _k,
               _flag("--max-cable-m", st.sampled_from(["3000", "0.5", "-1", "1e40"]))),

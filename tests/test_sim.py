@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lightsum as ls
-from lightsum import model, perturb, sim
+from lightsum import perturb, sim
 from lightsum.rational import fraction_str
 
-from helpers import arrivals, cut_outcome, has_subset_sum, perturbation_outcome, subset_sums
+from helpers import arrivals, perturbation_outcome, subset_sums
 
 P = ls.PhysicalParams()
 
@@ -453,7 +453,7 @@ def test_path_cap_counts_paths_before_enumerating(monkeypatch):
     with pytest.raises(ls.ResourceLimit) as halves:
         ls.propagate_halves(layout)
     with pytest.raises(ls.ResourceLimit) as trials:
-        ls.perturb_and_classify(layout, inst, P, 0, 1, rng_seed=0)
+        ls.perturb_and_classify(inst, P, 0, 1, rng_seed=0)
     assert str(whole.value) == str(halves.value) == str(trials.value)
 
 
@@ -623,8 +623,7 @@ def test_the_exact_device_draws_no_random_numbers():
 
 def perturb_values(values, target, max_error_m, trials, seed, params=P):
     inst = ls.Instance.from_values(values, target)
-    layout = ls.compile_layout(inst, params)
-    return ls.perturb_and_classify(layout, inst, params, max_error_m, trials, seed)
+    return ls.perturb_and_classify(inst, params, max_error_m, trials, seed)
 
 
 def test_zero_error_never_misclassifies():
@@ -805,41 +804,16 @@ def test_perturbation_matches_a_naive_reference_on_small_devices():
         assert got == expected, (values, target, quanta)
 
 
-def test_perturbation_matches_the_reference_on_any_layout():
-    # epsilon devices, whose skip arcs of epsilon outrun the values below
-    # it, so that some stages step down, read at B + n*k as the offset device
-    # is: the moment may lie before the earliest exact path. A half that
-    # keeps some of its paths marks them by their subset order, whichever
-    # way its steps go.
-    rng = random.Random(29)
-    grid = perturb.PERTURB_GRID
-    for _ in range(60):
-        n, epsilon, k = rng.randint(1, 8), rng.randint(1, 6), rng.randint(1, 3)
-        values = [rng.randint(1, 12) for _ in range(n)]
-        target = rng.randint(0, sum(values) + 2)
-        span, seed = int(rng.choice([0.1, 0.25, 0.4]) * grid), rng.randrange(1000)
-        inst = ls.Instance.from_values(values, target)
-        params = ls.PhysicalParams(offset_k_quanta=k)
-        layout = ls.compile_epsilon_layout(inst, epsilon)
-        report = ls.perturb_and_classify(layout, inst, params,
-                                         Fraction(span, grid) * params.quantum_length_m, 24, seed)
-        drift = report.max_arrival_error_s * grid / params.delay_quantum_s
-        expected = cut_outcome(sim.arcs_of(layout), target + n * k, has_subset_sum(values, target),
-                               span, grid, 24, seed)
-        got = (report.misclassified, report.false_positives, report.false_negatives, drift)
-        assert got == expected, (values, target, epsilon, k, span)
-
-
 @pytest.mark.parametrize("top", [1072, 1073])
 def test_perturbation_matches_the_reference_on_both_sides_of_the_int32_trials(top):
     # Trials measure their times from the earliest exact path less 6 errors,
-    # and hold them as int32 while twice the largest of the longest perturbed
-    # path, the window top and their distance below its bottom, plus one, is
-    # below 2^31 grid units. Six values cut within a quarter quantum drift by
-    # 1.5 quanta at most, so a sum of top - 2 quanta makes the longest path
-    # top + 1 quanta: 2^31 - 1483647 at 1072, 2^31 + 516353 at 1073. A
-    # target two quanta past a sum of top - 3 makes the window top the
-    # largest term, at the same top + 1 quanta. Targets on, beside and past
+    # and hold them as int32 while twice the larger of the longest perturbed
+    # path and the window top, plus one, is below 2^31 grid units. Six
+    # values cut within a quarter quantum drift by 1.5 quanta at most, so a
+    # sum of top - 2 quanta makes the longest path top + 1 quanta:
+    # 2^31 - 1483647 at 1072, 2^31 + 516353 at 1073. A target two quanta
+    # past a sum of top - 3 makes the window top the larger term, at the
+    # same top + 1 quanta. Targets on, beside and past
     # the sums run trials that keep some half-paths, and some trials
     # misclassify. The offset k enters no bound, so it runs to 10^6.
     grid, span = perturb.PERTURB_GRID, perturb.PERTURB_GRID // 4
@@ -850,7 +824,7 @@ def test_perturbation_matches_the_reference_on_both_sides_of_the_int32_trials(to
         for target, k in zip(targets, (1, 10**6, 1, 10**6)):
             target_g = target * grid + 6 * span
             top_g = total * grid + 12 * span
-            bound = 2 * max(top_g, target_g + grid // 2, top_g - target_g + grid // 2) + 1
+            bound = 2 * max(top_g, target_g + grid // 2) + 1
             assert (bound < 2**31) == (top == 1072)
             expected = perturbation_outcome(values, target, k, span, grid, 40, seed=target)
             assert perturb_outcome(values, target, span, 40, target, k) == expected, (values, target)
@@ -921,24 +895,13 @@ def test_the_count_at_the_moment_decides_trials_within_the_drift_bound(monkeypat
     monkeypatch.setattr(perturb, "_partnered", refused)
     monkeypatch.setattr(sim.Chain, "counted", refused)
     grid = perturb.PERTURB_GRID
-    for values, target, span, epsilon in (
-        ([1, 2, 3, 4], 5, grid // 10, None),  # YES: 4 cuts drift 0.4 quantum at most
-        ([2, 4], 3, grid // 5, None),  # NO
-        # the epsilon device's path 3 + epsilon lands on B + n*k = 4: every
-        # trial of a NO instance is a false positive
-        ([3, 5], 2, grid // 5, 1),
+    for values, target, span in (
+        ([1, 2, 3, 4], 5, grid // 10),  # YES: 4 cuts drift 0.4 quantum at most
+        ([2, 4], 3, grid // 5),  # NO
     ):
-        inst = ls.Instance.from_values(values, target)
-        layout = (ls.compile_layout(inst, P) if epsilon is None
-                  else ls.compile_epsilon_layout(inst, epsilon))
-        report = ls.perturb_and_classify(layout, inst, P,
-                                         Fraction(span, grid) * P.quantum_length_m, 50, 4)
-        drift = report.max_arrival_error_s * grid / P.delay_quantum_s
-        expected = cut_outcome(sim.arcs_of(layout), target + len(values),
-                               has_subset_sum(values, target), span, grid, 50, 4)
-        got = (report.misclassified, report.false_positives, report.false_negatives, drift)
-        assert got == expected, (values, target, epsilon)
-    assert expected[1] == 50
+        expected = perturbation_outcome(values, target, 1, span, grid, 50, 4)
+        assert perturb_outcome(values, target, span, 50, 4) == expected, (values, target)
+        assert expected[0] == 0
 
 
 # (values, target, k, span) on a coarse grid, where errors reach their bounds
@@ -1130,34 +1093,13 @@ def test_perturbation_past_the_grid_bound_is_a_resource_limit():
             perturb_values(values, target, error, 40, seed=0)
 
 
-def test_perturbation_bounds_the_longest_path_less_a_window_below_the_origin():
-    # The epsilon device of {a, 2} at epsilon = 2, read at B + n*k = 3, puts
-    # the moment one quantum before its earliest path, so the trials' window
-    # starts below their origin. Cut within a quarter quantum, 2 cables drift
-    # by half a quantum, and the trials enumerate the pair one quantum above
-    # the moment. A left key lo - l then lies as far below 0 as the longest
-    # path lies above the window bottom lo: at a = 4611686018428 the longest
-    # path is 2^62 - 387904 grid units, and that distance passes 2^62, past
-    # which a doubled key overflows int64. One quantum shorter, the trials
-    # run, and match the reference.
-    grid, span = perturb.PERTURB_GRID, perturb.PERTURB_GRID // 4
-    error = Fraction(span, grid) * P.quantum_length_m
-    for a in (4611686018428, 4611686018427):
-        inst = ls.Instance.from_values([a, 2], 1)
-        layout = ls.compile_epsilon_layout(inst, 2)
-        top_g = (a - 2) * grid + 4 * span
-        bottom_g = -grid + 2 * span - grid // 2
-        assert top_g < model.MAX_DELAY_QUANTA
-        assert (top_g - bottom_g >= model.MAX_DELAY_QUANTA) == (a == 4611686018428)
-        if a == 4611686018428:
-            with pytest.raises(ls.ResourceLimit, match="grid"):
-                ls.perturb_and_classify(layout, inst, P, error, 200, 0)
-        else:
-            report = ls.perturb_and_classify(layout, inst, P, error, 200, 0)
-            drift = report.max_arrival_error_s * grid / P.delay_quantum_s
-            expected = cut_outcome(sim.arcs_of(layout), 3, False, span, grid, 200, 0)
-            assert (report.misclassified, report.false_positives, report.false_negatives,
-                    drift) == expected
+def test_a_run_the_empty_subset_decides_answers_up_to_the_grid_bound():
+    # At B = 0 with no error the empty subset lies on the moment and decides
+    # every trial, which enumerate nothing: a longest path of 2^62 - 387904
+    # grid units, within half a quantum of the bound, answers
+    assert 2**62 - 4611686018427 * perturb.PERTURB_GRID < perturb.PERTURB_GRID // 2
+    report = perturb_values([4611686018427], 0, 0, 10, seed=0)
+    assert (report.trials, report.misclassified) == (10, 0)
 
 
 def test_perturbation_argument_validation():
