@@ -91,9 +91,9 @@ class Instance:
 
     def __post_init__(self) -> None:
         for v in self.values:
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise InvalidValue(f"normalized values must be integers >= 1, got {v!r}")
-        if not isinstance(self.target, int) or self.target < 0:
+        if isinstance(self.target, bool) or not isinstance(self.target, int) or self.target < 0:
             raise InvalidValue(f"normalized target must be an integer >= 0, got {self.target!r}")
         # The message names the bound only: the sum may have too many digits to print.
         if self.total >= MAX_DELAY_QUANTA or self.target >= MAX_DELAY_QUANTA:

@@ -92,7 +92,7 @@ def _candidates(half: ArrivalProfile, near: np.ndarray, values: Sequence[int]
     """
     if 2 * int(half.counts[near].sum()) >= 1 << len(values):
         return None
-    paths = Chain(least=0, base=0, steps=list(values), span=sum(values)).path_times()
+    paths = Chain(least=0, steps=list(values), span=sum(values)).path_times()
     near_times = half.times[near]
     i = np.minimum(np.searchsorted(near_times, paths), len(near_times) - 1)
     return np.flatnonzero(near_times[i] == paths)
@@ -249,12 +249,13 @@ def perturb_and_classify(
     a cable below zero, and a cable cut to exactly zero delays its ray by 0.
     ResourceLimit: a longest perturbed path or a window edge that could lie
     MAX_DELAY_QUANTA grid units from where the trials' times start, where
-    int64 times would overflow; a half past the path cap that detection
-    checks, or past a cap of `propagate_halves`; and, after the pre-pass, a
-    run whose trials, each charged PERTURB_TRIAL_ARRIVALS plus both halves'
-    2^floor(n/2) + 2^ceil(n/2) arrivals when the trials enumerate and its 2n
-    drawn errors when the exact halves decide them, pass
-    MAX_PERTURB_ARRIVALS, or an oracle past its own cap.
+    int64 times would overflow; a half past a cap of `propagate_halves`, or,
+    when the trials enumerate, past the path cap that detection checks,
+    refused before the pre-pass enumerates a half's subset sums; and, after
+    the pre-pass, a run whose trials, each charged PERTURB_TRIAL_ARRIVALS
+    plus both halves' 2^floor(n/2) + 2^ceil(n/2) arrivals when the trials
+    enumerate and its 2n drawn errors when the exact halves decide them,
+    pass MAX_PERTURB_ARRIVALS, or an oracle past its own cap.
     """
     layout = compile_layout(instance, params)
     max_error = to_fraction(max_error_m)
@@ -287,7 +288,6 @@ def perturb_and_classify(
             f"perturbed arrival times could reach {MAX_DELAY_QUANTA} grid units "
             f"(quantum/{PERTURB_GRID})"
         )
-    check_paths(half)
 
     # A perturbed path lies within n*err_span grid units of its exact time of
     # S quanta, so it can land in the window only when |S - B| <= near.
@@ -305,6 +305,7 @@ def perturb_and_classify(
                        for h in (halves.left, halves.right))
         near_left = _partnered(left.times, right.times, target - near, target + near)
         if near_left.any():
+            check_paths(half)
             near_right = _partnered(right.times, left.times, target - near, target + near)
             candidates = (_candidates(left, near_left, values[:cut]),
                           _candidates(right, near_right, values[cut:]))

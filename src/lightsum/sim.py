@@ -7,16 +7,18 @@ the two, so after n stages the histogram at the destination is exactly the
 multiset of subset sums shifted by the accumulated skip delays. The offset
 device and the epsilon device differ only in those two delays.
 
-Every chain, and so every half, is kept as its earliest arrival time,
-`least`, the sum of each stage's shorter arc, and its arrivals measured from
-it, which lie in [0, span] for span the sum of |take - skip| over its
-stages. An offset k on every skip arc, or an epsilon, moves `least` alone,
-and each reader measures its moment from the halves' `least`, so k enters no
-read, width or bound. While a chain has DENSE_PATHS_PER_SLOT paths
-(2^stages) or more per slot, one a moment over its span, and its span + 1
-slots fit MAX_PROFILE_ENTRIES, it runs on one dense count array and a
-scratch row: a stage copies the occupied slots aside and adds them back
-|step| higher. Counts are at most 2^n, so uint64 is exact up to n = 63 and
+Every path takes one arc of each stage, so which of a stage's two arcs is
+the longer moves no arrival. Every chain, and so every half, is kept as its
+earliest arrival time, `least`, the sum of each stage's shorter arc, and its
+steps, each stage's longer arc less its shorter, none negative: its arrivals,
+measured from `least`, lie in [0, span] for span the sum of the steps. An
+offset k on every skip arc, or an epsilon, moves `least` alone, and each
+reader, detection included, measures its moment from the halves' `least`, so
+k enters no read, width or bound. While a chain has DENSE_PATHS_PER_SLOT
+paths (2^stages) or more per slot, one a moment over its span, and its
+span + 1 slots fit MAX_PROFILE_ENTRIES, it runs on one dense count array and
+a scratch row: a stage copies the occupied slots aside and adds them back
+its step higher. Counts are at most 2^n, so uint64 is exact up to n = 63 and
 Python ints (object dtype), capped by MAX_DENSE_WORD_ADDITIONS, take over
 above. Wider chains, such as values of 10^9, have at most
 MAX_PROFILE_ENTRIES paths and are kept as their steps (a Chain). Each reader
@@ -40,7 +42,7 @@ and the rest on their own (a SplitProfile). A ray crosses both halves, so
 the rays arriving at M number sum_t left(t) * right(M - t). Both halves go
 into one buffer, each left time t as the key 2(M - t) and each right time r
 as 2r + 1, M measured from both halves' `least`; an enumerated half writes
-them there from its chain, the tag folded into the base and the steps, so
+them there from its chain, the tag folded into its start and its steps, so
 no plain path time is written first. One sort brings a key directly before
 the right time one above it where a pair meets; from the same runs of equal
 values come the multiplicity of each meet and each half's distinct times.
@@ -117,21 +119,19 @@ class ArrivalProfile:
 
 @dataclass(frozen=True, eq=False)
 class Chain:
-    """A chain of stages: its earliest path time, its base, its steps, and their span.
+    """A chain of stages: its earliest path time, its steps, and their span.
 
-    A step is take - skip of one stage. A path's time is `least` plus its
-    value, `base` plus the steps it takes, which lies in [0, span]: the base
-    is the value of the path that takes no stage, the sum of |step| over the
-    negative steps. An enumerated half is kept so: whoever reads it writes
-    its 2^stages path values where it needs them, through `_path_times`, and
-    folds any affine map of the values, such as a tag, into the base and the
-    steps.
+    A step is one stage's longer arc less its shorter, never negative. A
+    path's time is `least` plus its value, the sum of the steps it takes,
+    which lies in [0, span]; the path that takes no step is the earliest. An
+    enumerated half is kept so: whoever reads it writes its 2^stages path
+    values where it needs them, through `_path_times`, and folds any affine
+    map of the values, such as a tag, into the start and the steps.
     """
 
     least: int  # the sum of each stage's shorter arc
-    base: int
     steps: list[int]
-    span: int  # the sum of |step|
+    span: int  # the sum of the steps
 
     @property
     def stage_index(self) -> int:
@@ -147,7 +147,7 @@ class Chain:
         fast as int64 (8192 times of 13 values to 5e4, 2-vCPU VM), and int64
         otherwise.
         """
-        return _path_times(self.base, self.steps, np.empty(len(self), time_dtype(self.span)))
+        return _path_times(0, self.steps, np.empty(len(self), time_dtype(self.span)))
 
     def counted(self) -> ArrivalProfile:
         """The chain's distinct path times (int64), with the paths at each (uint64)."""
@@ -172,13 +172,13 @@ def _count_dtype(n: int) -> type:
 
 def _propagate_dense(least: int, steps: Sequence[int], slots: int) -> ArrivalProfile:
     # Slot i counts the rays at the chain's least time plus i. At a stage of
-    # step s every ray also moves |s| slots up, along its longer arc: a copy
-    # of the occupied slots is added back |s| higher.
+    # step s every ray also moves s slots up, along its longer arc: a copy
+    # of the occupied slots is added back s higher.
     counts = np.zeros(slots, dtype=_count_dtype(len(steps)))
     before = np.empty_like(counts)
     counts[0] = 1
     width = 1  # occupied slots
-    for step in map(abs, steps):
+    for step in steps:
         before[:width] = counts[:width]
         counts[step : step + width] += before[:width]
         width += step
@@ -186,23 +186,23 @@ def _propagate_dense(least: int, steps: Sequence[int], slots: int) -> ArrivalPro
     return ArrivalProfile(len(steps), least, slots - 1, times, counts[times])
 
 
-def _path_times(base: int, steps: Sequence[int], out: np.ndarray) -> np.ndarray:
+def _path_times(start: int, steps: Sequence[int], out: np.ndarray) -> np.ndarray:
     """Every path value of one chain, in subset order, written into the row `out`.
 
     The chain is an exact half that a reader enumerates: `out` has 2^stages
-    entries, `base` is an int and `steps` a sequence of ints, one a stage.
-    Entry p is the base plus step s for every bit s set in p. With the sum of
-    the skip arcs for base and take - skip for the steps, these are the path
-    times: path p takes stage s's take arc when bit s of p is set and its
-    skip arc otherwise, and equal times are kept. An affine map of every path
-    time, such as a tag, is folded into the base and the steps. `out` may be
+    entries, `start` is an int and `steps` a sequence of ints, one a stage.
+    Entry p is `start` plus step s for every bit s set in p. With 0 for
+    `start` and a chain's steps, these are its path values: path p takes
+    stage s's longer arc when bit s of p is set and its shorter arc
+    otherwise, and equal values are kept. An affine map of every path value,
+    such as a tag, is folded into the start and the steps. `out` may be
     a slice of a wider buffer, and its dtype must hold every path value,
     since every entry ever written is one. The row is stepped by Python ints
     over plain slices, which cost less per stage than array operands and
     `...` slices. The perturbation trials enumerate a batch of chains with
     their own enumerator (`perturb`).
     """
-    out[0] = base
+    out[0] = start
     for stage, step in enumerate(steps):
         np.add(out[: 1 << stage], step, out=out[1 << stage : 2 << stage])
     return out
@@ -223,10 +223,13 @@ def check_paths(stages: int) -> None:
 
 
 def as_chain(arcs: Sequence[tuple[int, int]]) -> Chain:
-    """The chain of the (skip, take) delays `arcs`, one pair a stage."""
-    steps = [take - skip for skip, take in arcs]
-    base = -sum(step for step in steps if step < 0)
-    return Chain(sum(skip for skip, _ in arcs) - base, base, steps, sum(map(abs, steps)))
+    """The chain of the (skip, take) delays `arcs`, one pair a stage.
+
+    Each stage is read from its shorter arc: `least` sums those, and the
+    stage's step is its longer arc less its shorter.
+    """
+    steps = [abs(take - skip) for skip, take in arcs]
+    return Chain(sum(map(min, arcs)), steps, sum(steps))
 
 
 def _propagate_chain(arcs: Sequence[tuple[int, int]]) -> ArrivalProfile | Chain:
@@ -289,10 +292,11 @@ class SplitProfile:
         by parity: each left time l as the key 2(M - l) and each right time r
         as 2r + 1, and the buffer is sorted once. An enumerated half writes
         its tagged paths straight into its part of the buffer, the tag folded
-        into its chain's base and steps, and a dense half is tagged from its
-        times. A left time and a right time meet when r = M - l, and then the
-        run of the key 2r is directly followed by the run of 2r + 1, since no
-        value lies between: two neighbours that differ in the tag bit alone.
+        into the start, 2M for the keys and 1 for the right times, and into
+        its chain's steps, and a dense half is tagged from its times. A left
+        time and a right time meet when r = M - l, and then the run of the
+        key 2r is directly followed by the run of 2r + 1, since no value lies
+        between: two neighbours that differ in the tag bit alone.
         Only those few meets are looked up. An entry stands for as many paths
         as its run is long in an enumerated half, and for its count, found by
         searchsorted, in a dense one; the products are taken in the count
@@ -309,12 +313,12 @@ class SplitProfile:
         tagged = np.empty(split + len(right), dtype=dtype)
         key_part, time_part = tagged[:split], tagged[split:]
         if isinstance(left, Chain):
-            _path_times(2 * (moment - left.base), [-2 * step for step in left.steps], key_part)
+            _path_times(2 * moment, [-2 * step for step in left.steps], key_part)
         else:
             np.subtract(moment, left.times, out=key_part, dtype=dtype, casting="unsafe")
             key_part <<= 1
         if isinstance(right, Chain):
-            _path_times(2 * right.base + 1, [2 * step for step in right.steps], time_part)
+            _path_times(1, [2 * step for step in right.steps], time_part)
         else:
             np.left_shift(right.times, 1, out=time_part, dtype=dtype, casting="unsafe")
             time_part |= 1
@@ -404,17 +408,19 @@ class DetectionReport:
 
 
 def detect(halves: SplitProfile, instance: Instance, params: PhysicalParams) -> DetectionReport:
-    """Apply the detection rule: YES iff a ray arrives at moment B + n*k.
+    """Apply the detection rule: YES iff a ray arrives B quanta after the
+    earliest path, at moment B + n*k on the offset device.
 
-    The halves must come from a layout built with the same offset k as
-    `params`. Every ray crosses n splitters, so per-ray power is the uniform
-    source * (transmission/2)^n; coincident rays add their power.
+    The moment is measured from the halves' own earliest paths, so `params`
+    supplies only the power budget: every ray crosses n splitters, so
+    per-ray power is the uniform source * (transmission/2)^n; coincident
+    rays add their power.
     """
     if halves.stage_index != instance.n:
         raise StageMismatch(
             f"profile went through {halves.stage_index} stages, instance has {instance.n}"
         )
-    moment = instance.target + instance.n * params.offset_k_quanta
+    moment = instance.target + halves.left.least + halves.right.least
     count = halves.count_at(moment)
     ray_power = per_ray_power(instance.n, params)
     amplified = params.detector_gain * count * ray_power

@@ -141,6 +141,14 @@ def test_instance_sum_and_target_stay_below_the_delay_bound():
         ls.normalize(ls.RawInstance.from_values(["1000000000000000000"] * 5, 1))
 
 
+@pytest.mark.parametrize("values,target", [([True, 2], 1), ([1, 2], True), ([1], False)])
+def test_instance_refuses_booleans(values, target):
+    # a bool is an int, but no count of quanta: a report would write
+    # "target": true where a number belongs
+    with pytest.raises(ls.InvalidValue):
+        ls.Instance.from_values(values, target)
+
+
 decimal_number = st.builds(
     lambda m, e: str(Decimal(m).scaleb(e)),
     st.integers(1, 10**6),

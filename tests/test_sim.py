@@ -116,8 +116,8 @@ def test_wide_count_fields_decode_exactly():
     # n identical unit values: counts are binomial coefficients; n = 63 and
     # 64 sit on the two sides of the switch from uint64 counts to Python ints.
     # The epsilon device of 64 unit values, skip arcs of 2 and take arcs of 1,
-    # steps down: j taken values arrive at 128 - j, C(64, j) = C(64, 64 - j)
-    # rays each.
+    # is shorter on its take arcs: j taken values arrive at 128 - j,
+    # C(64, j) = C(64, 64 - j) rays each.
     units = ls.Instance.from_values([1] * 64, 0)
     for layout, dtype in ((ls.compile_layout(ls.Instance.from_values([1] * 63, 0), P), np.uint64),
                           (ls.compile_layout(units, P), object),
@@ -161,8 +161,9 @@ def test_enumerated_times_are_exact_on_both_sides_of_the_int32_sort():
 def test_half_times_match_the_int64_enumerator_on_both_sides_of_2_31(epsilon, span, side):
     # one half of 5 stages spans 2^31 - 1 quanta, enumerated into int32, or
     # 2^31, enumerated into int64, from its earliest path; the epsilon
-    # device's skip arcs of 9 quanta outrun its values below 9, so some steps
-    # go down, and a large offset k moves the earliest path alone
+    # device's skip arcs of 9 quanta outrun its values below 9, so some
+    # stages are longer on the skip arc, and a large offset k moves the
+    # earliest path alone
     small = [1, 2, 3, 5, 8]
 
     def half_arcs(long):
@@ -180,16 +181,19 @@ def test_half_times_match_the_int64_enumerator_on_both_sides_of_2_31(epsilon, sp
     steps = [take - skip for skip, take in arcs]
     assert sum(map(abs, steps)) == span
     # the half is kept as its chain, and enumerates one entry per path, in
-    # subset order, each its time less the earliest
+    # subset order, each its time less the earliest: path p takes stage s's
+    # longer arc, |take - skip| more, when bit s of p is set
     least = sum(map(min, arcs))
-    times = perturb._batch_path_times(np.array([sum(skip for skip, _ in arcs)]),
-                                      np.array([steps]), np.empty((1, 32), np.int64))
+    times = perturb._batch_path_times(np.array([0]), np.array([list(map(abs, steps))]),
+                                      np.empty((1, 32), np.int64))
     half = getattr(ls.propagate_halves(layout), side)
     assert isinstance(half, sim.Chain)
     assert (half.least, half.span) == (least, span)
     paths = half.path_times()
     assert paths.dtype == (np.int32 if span < 2**31 else np.int64)
-    assert paths.tolist() == (times[0] - least).tolist()
+    assert paths.tolist() == times[0].tolist()
+    # which arc of a stage is the longer moves no arrival: the counted times
+    # are those of every path taking the skip or the take arc of each stage
     expected = {sum(skip for skip, _ in arcs) + s: c for s, c in subset_sums(steps).items()}
     counted = half.counted()
     assert {counted.least + t: c for t, c in arrivals(counted).items()} == expected
@@ -475,6 +479,17 @@ def test_detect_yes_at_b_plus_nk():
     assert report.verdict is ls.Verdict.YES
     assert report.checked_moment == 8
     assert report.ray_count_at_moment >= 1
+
+
+def test_detect_reads_the_moment_from_its_halves():
+    # halves built at k = 1 read with k = 2: the moment is B past the
+    # halves' earliest path, n * 1 quanta, whatever k the power budget names
+    inst = ls.Instance.from_values([1, 2, 3], 5)
+    halves = ls.propagate_halves(ls.compile_layout(inst, P))
+    report = ls.detect(halves, inst, ls.PhysicalParams(offset_k_quanta=2))
+    assert report.verdict is ls.Verdict.YES
+    assert report.ray_count_at_moment == 1
+    assert report.checked_moment == 8
 
 
 def test_detect_zero_target_hits_the_empty_set():
@@ -992,16 +1007,24 @@ def test_perturbation_reports_are_pinned(values, target, expected):
 
 
 def test_perturbed_half_cap_counts_arrivals_before_the_first_trial(monkeypatch):
-    # unit values with no error give a half of 3 stages only 4 distinct
-    # times but 8 arrivals; at k = 2, errors of 2 quanta, as long as the
-    # shortest cable, run, and the cap is still checked before any trial
+    # unit values give a half of 3 stages only 4 distinct times but 8
+    # arrivals, which run dense at a cap of 4. With no error the count at
+    # the moment decides every trial, which enumerate no path, so the run
+    # answers. Cut within 0.4 quantum at k = 1, 6 cuts drift 2.4 quanta,
+    # and at k = 2, errors of 2 quanta, as long as the shortest cable, drift
+    # 12: the trials enumerate, and the cap is checked before a half's
+    # subset sums are enumerated or any error is drawn
+    def never(*args):
+        raise AssertionError("enumerated or drew past the cap")
+
     monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 4)
-    for error, k in ((0, 1), (2 * P.quantum_length_m, 2)):
+    assert perturb_values([1] * 6, 3, 0, 1, seed=0).misclassified == 0
+    monkeypatch.setattr(perturb, "_candidates", never)
+    monkeypatch.setattr(perturb, "_uniform_draws", never)
+    for error, k in ((Fraction(4, 10) * P.quantum_length_m, 1), (2 * P.quantum_length_m, 2)):
         params = ls.PhysicalParams(offset_k_quanta=k)
         with pytest.raises(ls.ResourceLimit, match=r"2\^3"):
             perturb_values([1] * 6, 3, error, 1, seed=0, params=params)
-    monkeypatch.setattr(sim, "MAX_PROFILE_ENTRIES", 8)
-    assert perturb_values([1] * 6, 3, 0, 1, seed=0).misclassified == 0
 
 
 def chunk_of(trials_per_chunk, n, decided=False):
